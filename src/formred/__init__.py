@@ -16,11 +16,10 @@ from .quad import (QuadraticForm, enumerate_reduced, q_discriminant,
 from .hyper import (CentroidResult, UhpPoint, center_of_mass,
                     centroid_from_factors, dist_h, hyperbolic_centroid,
                     mobius, nint, psi, reduce_to_fundamental, right_action)
-from .julia import (JuliaResult, JuliaWeights, julia_reduce, minimize_theta0,
-                    q_of_weights, theta0)
+from .julia import (JuliaResult, JuliaWeights, minimize_theta0, q_of_weights,
+                    theta0)
 from .reduce import (ReductionReport, minimize, reduce_com, reduce_hyperbolic,
-                     reduce_julia, scale_lemma, scale_search, shift_descent,
-                     shift_direction, wgcd)
+                     reduce_julia, scale_search, shift_descent, shift_direction)
 from .dbgen import (CompareStats, LatticeConfig, NGonRecord, build_record,
                     compare_record, compare_stats, enumerate_ngons,
                     gauss_estimate, generate_records, julia_vs_com_report,
@@ -37,12 +36,11 @@ __all__ = [
     "centroid_from_factors", "compare_record", "compare_stats", "content",
     "dist_h", "enumerate_ngons", "enumerate_reduced", "from_upper_roots",
     "gauss_estimate", "generate_records", "height", "hyperbolic_centroid",
-    "julia_reduce", "julia_vs_com_report", "lattice_points", "max_distance",
-    "minimize", "minimize_theta0", "mobius", "nint", "primitive", "psi",
-    "q_discriminant", "q_is_positive_definite", "q_is_reduced",
-    "q_of_weights", "q_reduce", "q_transform", "q_zero_map", "read_db",
-    "reduce_com", "reduce_hyperbolic", "reduce_julia",
-    "reduce_to_fundamental", "right_action", "roots_upper", "scale_lemma",
+    "julia_vs_com_report", "lattice_points", "max_distance", "minimize",
+    "minimize_theta0", "mobius", "nint", "primitive", "psi", "q_discriminant",
+    "q_is_positive_definite", "q_is_reduced", "q_of_weights", "q_reduce",
+    "q_transform", "q_zero_map", "read_db", "reduce_com", "reduce_hyperbolic",
+    "reduce_julia", "reduce_to_fundamental", "right_action", "roots_upper",
     "scale_search", "shift", "shift_descent", "shift_direction",
-    "stats_json_dict", "theta0", "transform", "wgcd", "write_db",
+    "stats_json_dict", "theta0", "transform", "write_db",
 ]

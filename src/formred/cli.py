@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dbgen import (DEFAULT_MAXDIST_METRIC, DEFAULT_MAXDIST_SCAN_U,
@@ -37,6 +38,14 @@ def _parse_coeffs(text: str) -> BinaryForm:
         return BinaryForm(tuple(int(t) for t in text.split(",")))
     except ValueError as exc:
         raise DomainError(str(exc))
+
+
+def _workers(text: str) -> int:
+    """--workers: reject counts below 1, clamp to the CPU count."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _emit(obj: dict, as_json: bool):
@@ -75,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output JSONL path")
     gen.add_argument("--no-store", action="store_true",
                      help="do not write records, report the count only")
-    gen.add_argument("--workers", type=int, default=1)
+    gen.add_argument("--workers", type=_workers, default=1,
+                     help="worker processes, at most the CPU count")
 
     red = sub.add_parser("reduce", parents=[common],
                          help="reduce one form by a single method",
@@ -113,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "pre-round, then half-up) reproduces the "
                            "reference buckets")
     cmp_.add_argument("--out", help="write the stats JSON here as well")
-    cmp_.add_argument("--workers", type=int, default=1)
+    cmp_.add_argument("--workers", type=_workers, default=1,
+                      help="worker processes, at most the CPU count")
 
     mx = sub.add_parser("maxdist", parents=[common],
                         help="record with farthest-apart centers",
@@ -135,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "sqrt(|C|^2-t^2)")
     mx.add_argument("--region", default="halfdisc-exclude-i",
                     choices=("halfdisc-exclude-i", "positive-re"))
-    mx.add_argument("--workers", type=int, default=1)
+    mx.add_argument("--workers", type=_workers, default=1,
+                    help="worker processes, at most the CPU count")
 
     qd = sub.add_parser("quad", parents=[common],
                         help="binary quadratic utilities",

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import UpperRootSet, from_upper_roots, height, shift
-from .hyper import UhpPoint, center_of_mass, hyperbolic_centroid, nint
+from .hyper import (UhpPoint, _nint_ratio, center_of_mass,
+                    hyperbolic_centroid, nint, psi)
 from .julia import minimize_theta0
 
 REGIONS = ("halfdisc-exclude-i", "positive-re")
@@ -288,27 +289,6 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     return build_record(best_roots)
 
 
-def _nint_vec(num: np.ndarray, den, mode: str) -> np.ndarray:
-    """Vectorized nearest integer of num/den (den > 0), exact in int64."""
-    num = num.astype(np.int64)
-    den = np.int64(den) if np.isscalar(den) else den.astype(np.int64)
-    if mode == "away":
-        q = (2 * np.abs(num) + den) // (2 * den)
-        return np.where(num >= 0, q, -q)
-    if mode == "zero":
-        q = (2 * np.abs(num) + den - 1) // (2 * den)
-        return np.where(num >= 0, q, -q)
-    if mode == "up":
-        return (2 * num + den) // (2 * den)
-    if mode == "even":
-        q = num // den
-        r = num - q * den
-        hi = 2 * r > den
-        half = 2 * r == den
-        return q + hi + (half & (q % 2 != 0))
-    raise ValueError(f"unknown rounding mode {mode!r}")
-
-
 def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
     """Integer shifts from the exact ratio num/den under a tie convention."""
     if tie == "up-2dp":
@@ -317,7 +297,7 @@ def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
         t2 = np.fromiter((round(float(v), 2) for v in t), dtype=np.float64,
                          count=len(t))
         return np.floor(t2 + 0.5).astype(np.int64)
-    return _nint_vec(num, den, tie)
+    return _nint_ratio(num, den, tie)
 
 
 def _expand_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -422,18 +402,10 @@ def compare_record(roots, tie: str = DEFAULT_COMPARE_TIE):
     """Exact single-record comparison; the reference for the block engine.
 
     Returns (m_com, m_hyp, h_com, h_hyp)."""
-    pts = [UhpPoint(x, y) for x, y in roots]
-    f = from_upper_roots(pts)
-    com_num, com_den = sum(x for x, _ in roots), len(roots)
-    ys = [y for _, y in roots]
-    prods = [math.prod(ys[:i] + ys[i + 1:]) for i in range(len(ys))]
-    hyp_num, hyp_den = sum(p * x for p, (x, _) in zip(prods, roots)), sum(prods)
-    if tie == "up-2dp":
-        m_com = math.floor(round(com_num / com_den, 2) + 0.5)
-        m_hyp = math.floor(round(hyp_num / hyp_den, 2) + 0.5)
-    else:
-        m_com = nint(Fraction(com_num, com_den), tie)
-        m_hyp = nint(Fraction(hyp_num, hyp_den), tie)
+    f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
+    xs = [x for x, _ in roots]
+    m_com = nint(Fraction(sum(xs), len(xs)), tie)
+    m_hyp = nint(psi(xs, [y for _, y in roots]), tie)
     return m_com, m_hyp, height(shift(f, m_com)), height(shift(f, m_hyp))
 
 

@@ -229,16 +229,18 @@ def _polish_root(coeffs: Sequence[int], z: complex, steps: int = 3):
     return z, ill
 
 
-def _roots_high_precision(coeffs: Sequence[int]):
-    """All roots at once by arbitrary-precision Durand-Kerner; None when the
-    iteration does not converge (genuinely repeated roots)."""
+def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
+    """All roots at once by arbitrary-precision Durand-Kerner, started from
+    the double-precision roots; None when the iteration does not converge
+    (genuinely repeated roots)."""
     import mpmath as mp
 
     for dps, extraprec in ((40, 160), (80, 400)):
         try:
             with mp.workdps(dps):
                 rs, err = mp.polyroots(coeffs, maxsteps=300,
-                                       extraprec=extraprec, error=True)
+                                       extraprec=extraprec, error=True,
+                                       roots_init=start)
                 scale = 1 + max(abs(complex(z)) for z in rs)
                 if err <= 1e-14 * scale:
                     return [complex(z) for z in rs]
@@ -270,7 +272,7 @@ def roots_upper(f: BinaryForm, tol: float = 1e-8) -> UpperRootSet:
     polished = [_polish_root(coeffs, complex(z)) for z in raw]
     roots = [z for z, _ in polished]
     if any(ill for _, ill in polished):
-        redo = _roots_high_precision(coeffs)
+        redo = _roots_high_precision(coeffs, roots)
         if redo is not None:
             roots = redo
     upper: list[complex] = []

@@ -66,22 +66,23 @@ def nint(x, mode: str = "away") -> int:
     if mode == "up-2dp":
         return math.floor(round(float(x), 2) + 0.5)
     x = Fraction(x)  # exact, also for floats (binary expansion)
-    num, den = x.numerator, x.denominator
+    return _nint_ratio(x.numerator, x.denominator, mode)
+
+
+def _nint_ratio(num, den, mode: str):
+    """Nearest integer of num/den (den > 0) in integer arithmetic only, so
+    the same formula serves Python ints and int64 numpy arrays."""
+    sign = 1 - 2 * (num < 0)
     if mode == "away":
-        q = (2 * abs(num) + den) // (2 * den)
-        return q if num >= 0 else -q
+        return sign * ((2 * abs(num) + den) // (2 * den))
     if mode == "zero":
-        q = (2 * abs(num) + den - 1) // (2 * den)
-        return q if num >= 0 else -q
+        return sign * ((2 * abs(num) + den - 1) // (2 * den))
     if mode == "up":
         return (2 * num + den) // (2 * den)
     if mode == "even":
-        q, r = divmod(num, den)
-        if 2 * r < den:
-            return q
-        if 2 * r > den:
-            return q + 1
-        return q if q % 2 == 0 else q + 1
+        q = num // den
+        r = num - q * den
+        return q + (2 * r > den) + ((2 * r == den) & (q % 2 == 1))
     raise ValueError(f"unknown rounding mode {mode!r}")
 
 
@@ -109,6 +110,23 @@ def dist_h(z: UhpPoint, w: UhpPoint) -> float:
     return math.acosh(max(1.0, arg))
 
 
+def _inverse_y_weights(ys: Sequence, exact: bool):
+    """Unnormalized (1/y) weights w_i and their sum: prod_{k!=i} y_k in exact
+    arithmetic, or 1/y_i in floats."""
+    if exact:
+        w = [math.prod(ys[:i]) * math.prod(ys[i + 1:]) for i in range(len(ys))]
+    else:
+        w = [1.0 / float(v) for v in ys]
+    return w, sum(w)
+
+
+def _weighted_mean(w, s, xs):
+    """sum_i w_i x_i / s; exact (Fraction) when the weights are."""
+    if isinstance(s, float):
+        return sum(wi * float(xi) for wi, xi in zip(w, xs)) / s
+    return Fraction(sum(wi * xi for wi, xi in zip(w, xs)), 1) / s
+
+
 def psi(x: Sequence, y: Sequence):
     """The (1/y)-weighted mean of x: sum_i (prod_{k!=i} y_k / s_{n-1}) x_i.
 
@@ -120,19 +138,8 @@ def psi(x: Sequence, y: Sequence):
         raise ValueError("psi of empty vectors")
     if any(v <= 0 for v in y):
         raise ValueError("weights y must be positive")
-    if all(_exact(v) for v in x) and all(_exact(v) for v in y):
-        prods = []
-        for i in range(len(y)):
-            p = 1
-            for k, v in enumerate(y):
-                if k != i:
-                    p *= v
-            prods.append(p)
-        s = sum(prods)
-        return Fraction(sum(p * xi for p, xi in zip(prods, x)), 1) / s
-    inv = [1.0 / float(v) for v in y]
-    s = sum(inv)
-    return sum(wi * float(xi) for wi, xi in zip(inv, x)) / s
+    exact = all(_exact(v) for v in x) and all(_exact(v) for v in y)
+    return _weighted_mean(*_inverse_y_weights(y, exact), x)
 
 
 def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
@@ -147,22 +154,6 @@ def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
     return UhpPoint(sum(float(v) for v in ts) / n, sum(float(v) for v in us) / n)
 
 
-def _centroid_weights(ys: Sequence):
-    if all(_exact(v) for v in ys):
-        prods = []
-        for i in range(len(ys)):
-            p = 1
-            for k, v in enumerate(ys):
-                if k != i:
-                    p *= v
-            prods.append(p)
-        s = sum(prods)
-        return tuple(Fraction(p, 1) / s for p in prods)
-    inv = [1.0 / float(v) for v in ys]
-    s = sum(inv)
-    return tuple(w / s for w in inv)
-
-
 def hyperbolic_centroid(points: Sequence[UhpPoint]) -> CentroidResult:
     """The unique minimizer of sum_j ((t-x_j)^2 + (u-y_j)^2) / (u*y_j).
 
@@ -173,12 +164,17 @@ def hyperbolic_centroid(points: Sequence[UhpPoint]) -> CentroidResult:
         raise ValueError("centroid of no points")
     xs = [p.t for p in points]
     ys = [p.u for p in points]
-    t = psi(xs, ys)
-    normsq = psi([x * x + y * y for x, y in zip(xs, ys)], ys)
+    exact_y = all(_exact(v) for v in ys)
+    w, s = _inverse_y_weights(ys, exact_y and all(_exact(v) for v in xs))
+    t = _weighted_mean(w, s, xs)
+    normsq = _weighted_mean(w, s, [x * x + y * y for x, y in zip(xs, ys)])
     usq = normsq - t * t
     assert usq > 0, "centroid norm defect is positive for interior points"
     u = math.sqrt(float(usq))
-    weights = _centroid_weights(ys)
+    if exact_y and isinstance(s, float):
+        # float abscissae put t on the float route; the weights stay exact
+        w, s = _inverse_y_weights(ys, True)
+    weights = tuple(Fraction(wi, 1) / s if exact_y else wi / s for wi in w)
 
     from .quad import QuadraticForm  # deferred: quad imports hyper
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .forms import BinaryForm, UpperRootSet, roots_upper, transform
-from .hyper import UhpPoint, reduce_to_fundamental
+from .forms import BinaryForm, UpperRootSet, roots_upper
+from .hyper import UhpPoint
 from .quad import QuadraticForm, q_discriminant, q_zero_map
 
 
@@ -243,13 +243,3 @@ def minimize_theta0(f: BinaryForm, tol: float = 1e-10, max_iter: int = 10000,
         weights=weights,
         zero=q_zero_map(Q),
     )
-
-
-def julia_reduce(f: BinaryForm, tol: float = 1e-10):
-    """Transform f so its Julia zero lands in the fundamental domain.
-
-    Returns (transform(f, M), M) with M from reduce_to_fundamental of the
-    Julia zero."""
-    res = minimize_theta0(f, tol=tol)
-    _, M = reduce_to_fundamental(res.zero)
-    return transform(f, M), M

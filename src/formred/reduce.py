@@ -140,101 +140,55 @@ def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
     return ReductionReport(f, out, M, Fraction(1), "shift-descent", h0, best_h)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def wgcd(f: BinaryForm) -> int:
-    """Weighted gcd of the ascending coefficients a_1..a_n with weights
-    (1, ..., n): the largest d with d^i dividing a_i for every i >= 1.
-
-    Convention note: a_i is the coefficient of x^i; any monic form has
-    a_n = 1 and hence wgcd 1."""
-    asc = f.coeffs[::-1]
-    tail = [c for c in asc[1:] if c != 0]
-    if not tail:
-        return 1
-    g = 0
-    for c in tail:
-        g = math.gcd(g, abs(c))
-    for d in reversed(_divisors(g)):
-        if all(c == 0 or c % d**i == 0 for i, c in enumerate(asc[1:], start=1)):
-            return d
-    return 1
-
-
-def scale_lemma(f: BinaryForm) -> ReductionReport:
-    """Scaling by p = gcd(a_0, wgcd(a_1..a_n)): the fast path promised by the
-    scaling lemma.
-
-    Vacuous in practice: p divides a_0 and (through q) every other
-    coefficient, hence the content, so on primitive input p = 1 and nothing
-    is rescaled.  scale_search is the authoritative scan; tests cross-check
-    that it never does worse than this path."""
-    f0 = primitive(f)
-    q = wgcd(f0)
-    p = math.gcd(abs(f0.coeffs[-1]), q)  # a_0 is the trailing coefficient
-    if p == 1:
-        h0 = height(f0)
-        return ReductionReport(f, f0, UnimodularMatrix.identity(), Fraction(1),
-                               "scaling", h0, h0)
-    n = f0.degree
-    scaled = BinaryForm(tuple(c * p ** (n - i) for i, c in enumerate(f0.coeffs)))
-    return _finish(f, scaled, UnimodularMatrix.identity(), "scaling",
-                   scale=Fraction(p))
+def _smooth(w: int, c: int) -> bool:
+    """True when every prime of w divides c (always, for c = 0)."""
+    g = math.gcd(w, c)
+    while g > 1:
+        w //= g
+        g = math.gcd(w, c)
+    return w == 1
 
 
 def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
-    """Exhaustive scan of scalings x -> (u/v) x with 1 <= u, v <= bound.
+    """Scan of scalings x -> (u/v) x with 1 <= u, v <= bound, gcd(u, v) = 1.
 
     A candidate is the primitive form with coefficients c_i u^(n-i) v^i; the
     minimal-height one wins, with ties resolved to lambda = 1 first and then
-    to the smallest u + v."""
+    to the smallest (u + v, u).
+
+    Only content-feasible scalings are visited: every prime of u divides the
+    trailing coefficient c_n and every prime of v divides the leading c_0.
+    A prime p of u that does not divide c_n cannot divide c_n v^n, hence not
+    the content.  Dividing every p out of u therefore leaves the content
+    unchanged while no coefficient grows, so the height does not go up, and
+    it lowers u + v: that candidate comes earlier in the scan.  The
+    same holds for v against c_0.  So the first minimum of the full scan is
+    always feasible, and the pruned scan returns the same form, scale and
+    height.  A zero end coefficient admits every u (or v); monic forms only
+    need v = 1."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     f0 = primitive(f)
     n = f0.degree
     c = f0.coeffs
-    best_h = height(f0)
-    best = (best_h, Fraction(1), f0)
-    powers = {w: [w**i for i in range(n + 1)] for w in range(1, bound + 1)}
+    h0 = height(f0)
+    us = [u for u in range(1, bound + 1) if _smooth(u, c[-1])]
+    vs = [v for v in range(1, bound + 1) if _smooth(v, c[0])]
     pairs = sorted(
-        ((u, v) for u in range(1, bound + 1) for v in range(1, bound + 1)
+        ((u, v) for u in us for v in vs
          if math.gcd(u, v) == 1 and (u, v) != (1, 1)),
         key=lambda p: (p[0] + p[1], p[0]),
     )
+    best = (h0, 1, 1, c)
     for u, v in pairs:
-        up, vp = powers[u], powers[v]
-        g0 = c[0] * up[n]
-        gn = c[-1] * vp[n]
-        if g0 and gn:
-            dmax = math.gcd(g0, gn)
-            if max(abs(g0), abs(gn)) // dmax >= best_h:
-                continue
-        g = [ci * up[n - i] * vp[i] for i, ci in enumerate(c)]
-        cont = 0
-        for gi in g:
-            cont = math.gcd(cont, abs(gi))
-        h = max(abs(gi) for gi in g) // cont
-        if h < best_h:
-            form = primitive(BinaryForm(tuple(g)))
-            best_h = h
-            best = (h, Fraction(u, v), form)
-    h0 = height(f0)
-    if best[2] is f0:
-        return ReductionReport(f, f0, UnimodularMatrix.identity(), Fraction(1),
-                               "scaling", h0, h0)
-    return ReductionReport(f, best[2], UnimodularMatrix.identity(), best[1],
-                           "scaling", h0, best[0])
+        g = [ci * u ** (n - i) * v ** i for i, ci in enumerate(c)]
+        h = max(map(abs, g)) // math.gcd(*g)
+        if h < best[0]:
+            best = (h, u, v, g)
+    h, u, v, g = best
+    return ReductionReport(f, primitive(BinaryForm(tuple(g))),
+                           UnimodularMatrix.identity(), Fraction(u, v),
+                           "scaling", h0, h)
 
 
 def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,

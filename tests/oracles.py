@@ -171,21 +171,53 @@ def julia_zero_grid(coeffs_descending, upper_roots):
     return -B / (2 * A), math.sqrt(abs(D)) / (2 * A)
 
 
-def scale_exhaustive(coeffs_descending, bound):
-    """Best height reachable by x -> (u/v) x, straight from the definition."""
+def scaled_primitive(coeffs_descending, lam):
+    """Coefficients c_i u^(n-i) v^i for lam = u/v, divided by their content,
+    leading nonzero coefficient positive."""
+    u, v = lam.numerator, lam.denominator
     n = len(coeffs_descending) - 1
+    g = [c * u ** (n - i) * v ** i for i, c in enumerate(coeffs_descending)]
+    cont = gcd_list(g)
+    sign = 1 if next(x for x in g if x) > 0 else -1
+    return tuple(sign * x // cont for x in g)
+
+
+def scale_exhaustive(coeffs_descending, bound):
+    """(height, lambda) of the best scaling x -> (u/v) x, straight from the
+    definition: every coprime 1 <= u, v <= bound, ties to the smallest
+    (u + v, u), so lambda = 1 wins any tie."""
     best = None
     for u in range(1, bound + 1):
         for v in range(1, bound + 1):
             if math.gcd(u, v) != 1:
                 continue
-            g = [c * u ** (n - i) * v ** i
-                 for i, c in enumerate(coeffs_descending)]
-            cont = gcd_list(g)
-            h = max(abs(x) for x in g) // cont
-            if best is None or h < best:
-                best = h
-    return best
+            lam = Fraction(u, v)
+            h = max(abs(x) for x in scaled_primitive(coeffs_descending, lam))
+            key = (h, u + v, u)
+            if best is None or key < best[0]:
+                best = (key, lam)
+    return best[0][0], best[1]
+
+
+def wgcd(coeffs_descending):
+    """Weighted gcd of the ascending coefficients a_1..a_n with weights
+    (1, ..., n): the largest d with d^i dividing a_i for every i >= 1."""
+    tail = list(coeffs_descending[::-1][1:])
+    g = gcd_list(tail)
+    if g == 0:
+        return 1
+    divisors = {e for d in range(1, math.isqrt(g) + 1) if g % d == 0
+                for e in (d, g // d)}
+    return max(d for d in divisors
+               if all(c % d ** i == 0 for i, c in enumerate(tail, start=1)))
+
+
+def scale_lemma(coeffs_descending):
+    """The classical scaling lemma: p = gcd(a_0, wgcd(a_1..a_n)) with a_0 the
+    trailing coefficient; returns p and the scaled primitive coefficients.
+    p divides the content, so on primitive input p = 1."""
+    p = math.gcd(coeffs_descending[-1], wgcd(coeffs_descending))
+    return p, scaled_primitive(coeffs_descending, Fraction(p))
 
 
 def random_sl2(rng, span=5):

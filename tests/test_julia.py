@@ -4,9 +4,9 @@ import pytest
 
 from formred import (BinaryForm, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
-                     from_upper_roots, julia_reduce, minimize_theta0, mobius,
-                     q_discriminant, q_of_weights, roots_upper, shift, theta0,
-                     transform)
+                     from_upper_roots, minimize_theta0, mobius,
+                     q_discriminant, q_of_weights, reduce_julia, roots_upper,
+                     shift, theta0, transform)
 from conftest import random_upper_points
 from oracles import julia_zero_grid, random_sl2
 
@@ -160,12 +160,12 @@ def test_restart_stability(rng, pentagon):
 
 def test_julia_reduce_identity_when_reduced():
     f = BinaryForm((1, 0, 1))
-    g, M = julia_reduce(f)
-    assert g == f and M == UnimodularMatrix.identity()
+    r = reduce_julia(f)
+    assert r.output == f and r.matrix == UnimodularMatrix.identity()
 
 
 def test_julia_reduce_undoes_large_shift(triangle):
-    g0, M0 = julia_reduce(triangle)
-    g1, M1 = julia_reduce(shift(triangle, 100))
-    assert g0 == g1
-    assert M1.b == M0.b - 100
+    r0 = reduce_julia(triangle)
+    r1 = reduce_julia(shift(triangle, 100))
+    assert r0.output == r1.output
+    assert r1.matrix.b == r0.matrix.b - 100

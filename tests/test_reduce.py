@@ -4,11 +4,11 @@ import pytest
 
 from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
                      from_upper_roots, height, minimize, primitive,
-                     reduce_com, reduce_hyperbolic, reduce_julia, scale_lemma,
+                     reduce_com, reduce_hyperbolic, reduce_julia,
                      scale_search, shift, shift_descent, shift_direction,
-                     transform, wgcd)
+                     transform)
 from conftest import random_upper_points
-from oracles import scale_exhaustive
+from oracles import scale_exhaustive, scale_lemma, scaled_primitive, wgcd
 
 
 def test_reduce_hyperbolic_examples(triangle, pentagon):
@@ -88,19 +88,20 @@ def test_shift_descent_local_window(rng, triangle):
 
 
 def test_wgcd_and_scale_lemma():
+    # the lemma lives on as a test oracle: scale_search subsumes it
     # ascending (8, 4, 2, 1): wgcd of (4, 2, 1) with weights (1, 2, 3) is 1
-    f = BinaryForm((1, 2, 4, 8))
+    f = (1, 2, 4, 8)
     assert wgcd(f) == 1
-    r = scale_lemma(f)
-    assert r.output == f and r.scale == 1
+    assert scale_lemma(f) == (1, f)
 
     # ascending (5, 2, 4, 8): q = 2, but p = gcd(5, 2) = 1
-    f = BinaryForm((8, 4, 2, 5))
+    f = (8, 4, 2, 5)
     assert wgcd(f) == 2
-    assert scale_lemma(f).output == f
+    assert scale_lemma(f) == (1, f)
 
-    r = scale_lemma(BinaryForm((1, 0, 4)))
-    assert r.output.coeffs == (1, 0, 4)  # q = 1: the lemma's fast path stalls
+    # q = 1: the lemma stalls, while the scan finds lambda = 2
+    assert scale_lemma((1, 0, 4)) == (1, (1, 0, 4))
+    assert scale_search(BinaryForm((1, 0, 4))).output_height == 1
 
 
 def test_scale_lemma_vacuous_on_primitive(rng):
@@ -110,9 +111,9 @@ def test_scale_lemma_vacuous_on_primitive(rng):
     from conftest import random_form
     for _ in range(200):
         f = primitive(random_form(rng))
-        r = scale_lemma(f)
-        assert r.output == f and r.scale == 1
-        assert scale_search(f, bound=6).output_height <= r.output_height
+        p, coeffs = scale_lemma(f.coeffs)
+        assert p == 1 and coeffs == f.coeffs
+        assert scale_search(f, bound=6).output_height <= max(map(abs, coeffs))
 
 
 def test_scale_search_examples():
@@ -129,16 +130,44 @@ def test_scale_search_examples():
     assert r.output == f and r.scale == 1
 
 
-def test_scale_search_matches_exhaustive(rng):
+def test_scale_search_matches_exhaustive(rng, pentagon):
+    # the scan only visits content-feasible (u, v); the oracle visits every
+    # coprime pair, so form, lambda and height must all agree
+    forms = []
     for _ in range(40):
         n = int(rng.integers(2, 5))
         coeffs = [int(v) for v in rng.integers(-40, 41, n + 1)]
         if coeffs[0] == 0 or coeffs[-1] == 0:
             continue
-        f = primitive(BinaryForm(tuple(coeffs)))
-        bound = 8
+        forms.append(coeffs)
+    for _ in range(30):  # one zero end: every u (or v) is feasible
+        n = int(rng.integers(2, 6))
+        coeffs = [int(v) for v in rng.integers(-60, 61, n + 1)]
+        coeffs[0 if rng.integers(2) else -1] = 0
+        if coeffs[0] or coeffs[-1]:
+            forms.append(coeffs)
+    for _ in range(60):  # smooth ends: small forms blown up by u^(n-i) v^i
+        n = int(rng.integers(2, 6))
+        base = [int(v) for v in rng.integers(-9, 10, n + 1)]
+        if base[0] == 0 or base[-1] == 0:
+            continue
+        u, v = (int(w) for w in rng.choice([1, 2, 3, 4, 6, 8, 9], 2))
+        forms.append([c * v ** (n - i) * u ** i for i, c in enumerate(base)])
+    for _ in range(20):  # 20-digit coefficients
+        n = int(rng.integers(2, 5))
+        coeffs = [int(rng.integers(1, 10**10)) * int(rng.integers(1, 10**10))
+                  * (1 if rng.integers(2) else -1) for _ in range(n + 1)]
+        forms.append(coeffs)
+    cases = [(primitive(BinaryForm(tuple(c))), 8) for c in forms]
+    cases += [(shift(pentagon, 5), 64), (BinaryForm((1, 0, 4)), 64)]
+    fired = 0
+    for f, bound in cases:
         r = scale_search(f, bound=bound)
-        assert r.output_height == scale_exhaustive(f.coeffs, bound)
+        h, lam = scale_exhaustive(f.coeffs, bound)
+        assert (r.output.coeffs, r.scale, r.output_height) == \
+            (scaled_primitive(f.coeffs, lam), lam, h), f
+        fired += lam != 1
+    assert fired >= 40
 
 
 def test_scale_search_bound_stability(triangle, pentagon):
@@ -176,7 +205,7 @@ def test_minimize_trivial_and_real_roots():
 
     # mixed signature falls back to the center-of-mass branch
     g = BinaryForm((1, 0, -2, 0))  # x(x^2 - 2y^2): roots 0, +-sqrt2... real
-    # all-real cubic routes to julia_reduce
+    # all-real cubic routes to reduce_julia
     rep = minimize(g)
     assert rep.output_height <= height(g)
 
