@@ -21,10 +21,9 @@ from .julia import (JuliaResult, JuliaWeights, minimize_theta0, q_of_weights,
 from .reduce import (ReductionReport, minimize, reduce_com, reduce_hyperbolic,
                      reduce_julia, scale_search, shift_descent, shift_direction)
 from .dbgen import (CompareStats, LatticeConfig, NGonRecord, build_record,
-                    compare_record, compare_stats, enumerate_ngons,
-                    gauss_estimate, generate_records, julia_vs_com_report,
-                    lattice_points, max_distance, read_db, stats_json_dict,
-                    write_db)
+                    compare_stats, enumerate_ngons, gauss_estimate,
+                    generate_records, julia_vs_com_report, lattice_points,
+                    max_distance, read_db, stats_json_dict, write_db)
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "DomainError", "JuliaResult", "JuliaWeights", "LatticeConfig",
     "NGonRecord", "QuadraticForm", "ReductionReport", "UhpPoint",
     "UnimodularMatrix", "UpperRootSet", "build_record", "center_of_mass",
-    "centroid_from_factors", "compare_record", "compare_stats", "content",
+    "centroid_from_factors", "compare_stats", "content",
     "dist_h", "enumerate_ngons", "enumerate_reduced", "from_upper_roots",
     "gauss_estimate", "generate_records", "height", "hyperbolic_centroid",
     "julia_vs_com_report", "lattice_points", "max_distance", "minimize",

@@ -2,9 +2,11 @@
 
 Roots live in the half-disc y >= 1, 1 < x^2 + y^2 <= r2^2 (the region whose
 point counts make the reference n-gon totals exact binomials); each k-subset
-yields a monic totally complex form of degree 2k.  The heavy passes
-(max-distance scan, head-to-head shift comparison) run on int64/float64
-numpy blocks; all height comparisons stay in exact integer arithmetic.
+yields a monic totally complex form of degree 2k.  The heavy passes run on
+numpy blocks: the max-distance scan on float64, the head-to-head shift
+comparison on int64 or, where `_int64_safe` says the shifted heights could
+overflow int64, on Python-int (object) blocks, so every height comparison
+stays in exact integer arithmetic at every database size.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import UpperRootSet, from_upper_roots, height, shift
+from .forms import UpperRootSet, from_upper_roots
 from .hyper import (UhpPoint, _nint_ratio, center_of_mass,
-                    hyperbolic_centroid, nint, psi)
+                    hyperbolic_centroid, nint)
 from .julia import minimize_theta0
 
 REGIONS = ("halfdisc-exclude-i", "positive-re")
@@ -154,27 +156,41 @@ def build_record(roots) -> NGonRecord:
 def generate_records(config: LatticeConfig, workers: int = 1):
     """Stream NGonRecords for the whole database in canonical order."""
     points = lattice_points(config.r2, config.region, config.r1)
+    yield from _fan_out(_records_for_range,
+                        _range_tasks(points, config.kgon, workers), workers)
+
+
+def _records_for_range(task):
+    points, k, lo, hi = task
+    return map(build_record, enumerate_ngons(points, k, (lo, hi)))
+
+
+def _range_tasks(points, k: int, workers: int, *args):
+    """Tasks (points, k, *args, lo, hi) splitting the k-subsets by the range
+    [lo, hi) of their first index into 16 * workers parts: combination counts
+    fall off sharply with the first index, so equal index ranges would leave
+    most workers idle.  When k exceeds the point count there is one empty
+    range, so each engine still meets its own k > len(points) behaviour."""
+    n = max(len(points) - k + 1, 0)
+    step = -(-n // min(16 * max(workers, 1), n)) if n else 1
+    ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
+    return [(points, k, *args, lo, hi) for lo, hi in ranges]
+
+
+def _fan_out(fn, tasks, workers: int):
+    """Stream the items of fn(task) for every task, in task order: lazily in
+    this process when workers <= 1, else from a pool of `workers` processes."""
     if workers <= 1:
-        for roots in enumerate_ngons(points, config.kgon):
-            yield build_record(roots)
+        for task in tasks:
+            yield from fn(task)
         return
-    nfirst = max(len(points) - config.kgon + 1, 0)
-    ranges = _split_ranges(nfirst, 8 * workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        args = ((points, config.kgon, lo, hi) for lo, hi in ranges)
-        for batch in pool.map(_records_for_range, args):
-            yield from batch
+        for items in pool.map(_listed, itertools.repeat(fn), tasks):
+            yield from items
 
 
-def _records_for_range(args):
-    points, k, lo, hi = args
-    return [build_record(r) for r in enumerate_ngons(points, k, (lo, hi))]
-
-
-def _split_ranges(n: int, parts: int):
-    parts = max(1, min(parts, n)) if n else 1
-    step = -(-n // parts) if n else 1
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
+def _listed(fn, task):
+    return list(fn(task))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +198,16 @@ def _split_ranges(n: int, parts: int):
 # ---------------------------------------------------------------------------
 
 def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
-    combos = itertools.chain.from_iterable(_iter_index_combos(n, k, lo, hi))
+    """Index blocks of at most `rows` k-subsets of range(n) whose first index
+    lies in [lo, hi), in lexicographic order; none when k > n."""
+    if k > n:
+        return
+    combos = itertools.chain.from_iterable(enumerate_ngons(range(n), k, (lo, hi)))
     while True:
         arr = np.fromiter(itertools.islice(combos, rows * k), dtype=np.int64)
         if arr.size == 0:
             return
         yield arr.reshape(-1, k)
-
-
-def _iter_index_combos(n: int, k: int, lo: int, hi: int):
-    for i in range(lo, min(hi, n - k + 1)):
-        for rest in itertools.combinations(range(i + 1, n), k - 1):
-            yield (i,) + rest
 
 
 def _centers(X: np.ndarray, Y: np.ndarray, scan_u: str = "definition"):
@@ -227,22 +241,18 @@ def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _maxdist_range(args):
-    points, k, metric, scan_u, lo, hi = args
+def _maxdist_range(task):
+    """Per index block: the largest distance key and its (first) index set."""
+    points, k, metric, scan_u, lo, hi = task
     xs = np.array([p[0] for p in points], dtype=np.float64)
     ys = np.array([p[1] for p in points], dtype=np.float64)
-    best_key = -math.inf
-    best_combo = None
     for idx in _index_chunks(len(points), k, lo, hi):
         X = xs[idx]
         Y = ys[idx]
         com_t, com_u, hyp_t, hyp_u = _centers(X, Y, scan_u)
         key = _distance_key(metric, com_t, com_u, hyp_t, hyp_u)
         j = int(np.argmax(key))
-        if key[j] > best_key:
-            best_key = float(key[j])
-            best_combo = tuple(int(v) for v in idx[j])
-    return best_key, best_combo
+        yield float(key[j]), tuple(int(v) for v in idx[j])
 
 
 def max_distance(config: LatticeConfig, metric: str | None = None,
@@ -266,21 +276,10 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     k = config.kgon
     if k > len(points):
         raise ValueError("k-gon larger than the point set")
-    nfirst = len(points) - k + 1
-    # many small ranges: combination counts fall off sharply with the first
-    # index, so equal index ranges would leave most workers idle
-    parts = 1 if workers <= 1 else 16 * workers
-    tasks = [(points, k, metric, scan_u, lo, hi)
-             for lo, hi in _split_ranges(nfirst, parts)]
-    if workers <= 1:
-        results = [_maxdist_range(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_maxdist_range, tasks))
     best_key, best_roots = -math.inf, None
-    for key, combo in results:
-        if combo is None:
-            continue
+    for key, combo in _fan_out(_maxdist_range,
+                               _range_tasks(points, k, workers, metric, scan_u),
+                               workers):
         roots = tuple(points[i] for i in combo)
         if key > best_key or (key == best_key and roots < best_roots):
             best_key, best_roots = key, roots
@@ -292,8 +291,7 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
 def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
     """Integer shifts from the exact ratio num/den under a tie convention."""
     if tie == "up-2dp":
-        den_arr = np.broadcast_to(np.asarray(den, dtype=np.int64), num.shape)
-        t = num.astype(np.float64) / den_arr.astype(np.float64)
+        t = num.astype(np.float64) / np.asarray(den, dtype=np.float64)
         t2 = np.fromiter((round(float(v), 2) for v in t), dtype=np.float64,
                          count=len(t))
         return np.floor(t2 + 0.5).astype(np.int64)
@@ -301,16 +299,18 @@ def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
 
 
 def _expand_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Coefficient rows of prod_i (x^2 - 2 x_i xy + (x_i^2+y_i^2) y^2), int64."""
+    """Coefficient rows of prod_i (x^2 - 2 x_i xy + (x_i^2+y_i^2) y^2), in the
+    dtype of X: int64, or Python ints (object) where `_int64_safe` says the
+    coefficients could overflow int64."""
     m, k = X.shape
-    cur = np.zeros((m, 3), dtype=np.int64)
+    cur = np.zeros((m, 3), dtype=X.dtype)
     cur[:, 0] = 1
     cur[:, 1] = -2 * X[:, 0]
     cur[:, 2] = X[:, 0] ** 2 + Y[:, 0] ** 2
     for j in range(1, k):
         A = (-2 * X[:, j])[:, None]
         B = (X[:, j] ** 2 + Y[:, j] ** 2)[:, None]
-        new = np.zeros((m, cur.shape[1] + 2), dtype=np.int64)
+        new = np.zeros((m, cur.shape[1] + 2), dtype=X.dtype)
         new[:, :-2] += cur
         new[:, 1:-1] += cur * A
         new[:, 2:] += cur * B
@@ -318,9 +318,9 @@ def _expand_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _pascal_shift(n: int, m: int) -> np.ndarray:
+def _pascal_shift(n: int, m: int, dtype) -> np.ndarray:
     """Matrix P with (coeffs of f(x + m y, y)) = coeffs @ P."""
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P = np.zeros((n + 1, n + 1), dtype=dtype)
     for i in range(n + 1):
         for j in range(i, n + 1):
             P[i, j] = math.comb(n - i, j - i) * m ** (j - i)
@@ -328,12 +328,14 @@ def _pascal_shift(n: int, m: int) -> np.ndarray:
 
 
 def _shift_heights(coeffs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Heights of the shifted (monic, hence primitive) forms, exact int64."""
+    """Heights of the shifted (monic, hence primitive) forms, exact in the
+    dtype of `coeffs`: int64, or Python ints (object) where `_int64_safe`
+    says int64 could overflow."""
     n = coeffs.shape[1] - 1
-    out = np.empty(coeffs.shape[0], dtype=np.int64)
+    out = np.empty(coeffs.shape[0], dtype=coeffs.dtype)
     for mval in np.unique(shifts):
         mask = shifts == mval
-        sub = coeffs[mask] @ _pascal_shift(n, int(mval))
+        sub = coeffs[mask] @ _pascal_shift(n, int(mval), coeffs.dtype)
         out[mask] = np.abs(sub).max(axis=1)
     return out
 
@@ -343,11 +345,11 @@ def _int64_safe(r2: int, k: int) -> bool:
     return (1 + r2) ** (4 * k) < 2 ** 62
 
 
-def _compare_range(args):
-    points, k, tie, lo, hi = args
-    xs = np.array([p[0] for p in points], dtype=np.int64)
-    ys = np.array([p[1] for p in points], dtype=np.int64)
-    hyp_w = julia_w = same = total = 0
+def _compare_range(task):
+    """Per index block: (rows, hyperbolic wins, julia wins, same)."""
+    points, k, tie, dtype, lo, hi = task
+    xs = np.array([p[0] for p in points], dtype=dtype)
+    ys = np.array([p[1] for p in points], dtype=dtype)
     for idx in _index_chunks(len(points), k, lo, hi):
         X = xs[idx]
         Y = ys[idx]
@@ -359,11 +361,8 @@ def _compare_range(args):
         coeffs = _expand_forms(X, Y)
         h_com = _shift_heights(coeffs, m_com)
         h_hyp = _shift_heights(coeffs, m_hyp)
-        hyp_w += int((h_hyp < h_com).sum())
-        julia_w += int((h_com < h_hyp).sum())
-        same += int((h_com == h_hyp).sum())
-        total += int(idx.shape[0])
-    return total, hyp_w, julia_w, same
+        yield (int(idx.shape[0]), int((h_hyp < h_com).sum()),
+               int((h_com < h_hyp).sum()), int((h_com == h_hyp).sum()))
 
 
 def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,
@@ -378,49 +377,10 @@ def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,
     either way.)"""
     points = lattice_points(config.r2, config.region, config.r1)
     k = config.kgon
-    if not _int64_safe(config.r2, k):
-        return _compare_stats_exact(points, k, tie)
-    nfirst = max(len(points) - k + 1, 0)
-    nparts = 1 if workers <= 1 else 16 * workers
-    tasks = [(points, k, tie, lo, hi)
-             for lo, hi in _split_ranges(nfirst, nparts)]
-    if workers <= 1:
-        parts = [_compare_range(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compare_range, tasks))
-    total = sum(p[0] for p in parts)
-    return CompareStats(
-        total=total,
-        hyperbolic_wins=sum(p[1] for p in parts),
-        julia_wins=sum(p[2] for p in parts),
-        same=sum(p[3] for p in parts),
-    )
-
-
-def compare_record(roots, tie: str = DEFAULT_COMPARE_TIE):
-    """Exact single-record comparison; the reference for the block engine.
-
-    Returns (m_com, m_hyp, h_com, h_hyp)."""
-    f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
-    xs = [x for x, _ in roots]
-    m_com = nint(Fraction(sum(xs), len(xs)), tie)
-    m_hyp = nint(psi(xs, [y for _, y in roots]), tie)
-    return m_com, m_hyp, height(shift(f, m_com)), height(shift(f, m_hyp))
-
-
-def _compare_stats_exact(points, k, tie=DEFAULT_COMPARE_TIE) -> CompareStats:
-    hyp_w = julia_w = same = total = 0
-    for roots in enumerate_ngons(points, k):
-        _, _, h_com, h_hyp = compare_record(roots, tie)
-        if h_hyp < h_com:
-            hyp_w += 1
-        elif h_com < h_hyp:
-            julia_w += 1
-        else:
-            same += 1
-        total += 1
-    return CompareStats(total, hyp_w, julia_w, same)
+    dtype = np.int64 if _int64_safe(config.r2, k) else object
+    parts = _fan_out(_compare_range, _range_tasks(points, k, workers, tie, dtype),
+                     workers)
+    return CompareStats(*map(sum, zip((0, 0, 0, 0), *parts)))
 
 
 def stats_json_dict(config: LatticeConfig, stats: CompareStats,

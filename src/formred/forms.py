@@ -29,8 +29,6 @@ class BinaryForm:
             raise ValueError("a binary form has degree >= 1")
         if not any(coeffs):
             raise ValueError("the zero form is not allowed")
-        if coeffs[0] == 0 and coeffs[-1] == 0:
-            raise ValueError("leading and trailing coefficients are both zero")
 
     @property
     def degree(self) -> int:

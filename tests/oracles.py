@@ -220,6 +220,70 @@ def scale_lemma(coeffs_descending):
     return p, scaled_primitive(coeffs_descending, Fraction(p))
 
 
+def centroid_u2_double_sum(a, b):
+    """u^2 of the hyperbolic centroid of the roots of prod_i (X^2 + a_i X Z +
+    b_i Z^2), from the explicit double-sum formula in d_i = sqrt(4 b_i - a_i^2):
+    u^2 = prod d * (s * sum d + sum_{i<j} p_ij (a_i - a_j)^2) / (4 s^2), with
+    p_i, p_ij the products of the d_k over k != i (and k != j), s = sum p_i."""
+    n = len(a)
+    ds = [math.sqrt(4.0 * float(bi) - float(ai) ** 2) for ai, bi in zip(a, b)]
+    af = [float(v) for v in a]
+    s = sum(math.prod(ds[:i] + ds[i + 1:]) for i in range(n))
+    pair_sum = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pij = math.prod(ds[k] for k in range(n) if k != i and k != j)
+            pair_sum += pij * (af[i] - af[j]) ** 2
+    return math.prod(ds) * (s * sum(ds) + pair_sum) / (4.0 * s * s)
+
+
+def round_tie(x, tie):
+    """Nearest integer to the rational x under a comparison tie convention:
+    half away from zero, half to even, half toward zero, half up, or half up
+    after rounding the double nearest x to 2 decimals ('up-2dp')."""
+    if tie == "up-2dp":
+        return math.floor(round(float(x), 2) + 0.5)
+    x = Fraction(x)
+    half = Fraction(1, 2)
+    sign = -1 if x < 0 else 1
+    if tie == "away":
+        return sign * math.floor(abs(x) + half)
+    if tie == "zero":
+        return sign * math.ceil(abs(x) - half)
+    if tie == "up":
+        return math.floor(x + half)
+    if tie == "even":
+        return round(x)
+    raise ValueError(tie)
+
+
+def compare_record(roots, tie="up-2dp"):
+    """One n-gon of the head-to-head comparison, from the definitions: the
+    form prod (x - z_i y)(x - conj(z_i) y), its center-of-mass shift m_com and
+    (1/y)-weighted centroid shift m_hyp, and the heights (largest absolute
+    coefficient) of f(x + m y, y) for each.  Returns (m_com, m_hyp, h_com,
+    h_hyp)."""
+    coeffs = [1]
+    for x, y in roots:
+        coeffs = poly_mul(coeffs, [1, -2 * x, x * x + y * y])
+    xs = [x for x, _ in roots]
+    ys = [y for _, y in roots]
+    w = [math.prod(ys) // y for y in ys]
+    m_com = round_tie(Fraction(sum(xs), len(xs)), tie)
+    m_hyp = round_tie(Fraction(sum(wi * x for wi, x in zip(w, xs)), sum(w)), tie)
+
+    def shifted_height(m):
+        # f(x + m y, y) = sum_i c_i (x + m y)^(n-i) y^i
+        n = len(coeffs) - 1
+        out = [0] * (n + 1)
+        for i, c in enumerate(coeffs):
+            for j in range(n - i + 1):
+                out[i + j] += c * math.comb(n - i, j) * m ** j
+        return max(abs(v) for v in out)
+
+    return m_com, m_hyp, shifted_height(m_com), shifted_height(m_hyp)
+
+
 def random_sl2(rng, span=5):
     """Random SL2(Z) matrix with small entries, via extended gcd."""
     while True:

@@ -31,7 +31,8 @@ from formred.julia import _minimize_log_weights, _objective_data
 from formred.quad import QuadraticForm
 from conftest import PENTAGON_ROOTS, TRIANGLE_COEFFS, TRIANGLE_ROOTS, \
     random_mixed_form, random_upper_points
-from oracles import centroid_minimize, julia_zero_grid, random_sl2
+from oracles import (centroid_minimize, centroid_u2_double_sum,
+                     julia_zero_grid, random_sl2)
 
 # criterion 7 reference (also recorded in README; deterministic for this config)
 JULIA_COM_DIFFER = 2970
@@ -282,17 +283,20 @@ def test_criterion_6_centroid_equivariance(rng):
 
 def test_criterion_6_centroid_closed_forms(rng):
     worst_u = 0.0
+    worst_sum = 0.0
     worst_min = 0.0
     for _ in range(1000):
         n = int(rng.integers(3, 7))
         pts = random_upper_points(rng, n)
         a = [-2 * x for x, _ in pts]
         b = [x * x + y * y for x, y in pts]
-        res = centroid_from_factors(a, b)  # raises beyond 1e-9 internally
+        res = centroid_from_factors(a, b)
         ref = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
         worst_u = max(worst_u,
                       abs(res.point.u - ref.point.u) / ref.point.u)
-    ok = worst_u < 1e-10
+        u2, u2_sum = float(res.point.u) ** 2, centroid_u2_double_sum(a, b)
+        worst_sum = max(worst_sum, abs(u2 - u2_sum) / max(u2, u2_sum))
+    ok = worst_u < 1e-10 and worst_sum <= 1e-9  # math.isclose(rel_tol=1e-9)
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         pts = random_upper_points(rng, n)
@@ -302,7 +306,8 @@ def test_criterion_6_centroid_closed_forms(rng):
                         abs(res.point.u - u_o))
     ok &= worst_min < 1e-8
     report("criterion 6e (centroid closed forms + objective oracle)",
-           ok, f"closed-form rel {worst_u:.2e} < 1e-10, "
+           ok, f"closed-form rel {worst_u:.2e} < 1e-10, double-sum u^2 "
+               f"rel {worst_sum:.2e} <= 1e-9, "
                f"oracle err {worst_min:.2e} < 1e-8")
 
 

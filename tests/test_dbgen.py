@@ -2,14 +2,17 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from formred import (CompareStats, LatticeConfig, build_record,
-                     compare_record, compare_stats, enumerate_ngons,
-                     from_upper_roots, gauss_estimate, generate_records,
-                     height, julia_vs_com_report, lattice_points,
-                     max_distance, read_db, shift, stats_json_dict, write_db,
-                     UhpPoint)
+                     compare_stats, enumerate_ngons, from_upper_roots,
+                     gauss_estimate, generate_records, height,
+                     julia_vs_com_report, lattice_points, max_distance,
+                     read_db, shift, stats_json_dict, write_db, UhpPoint)
+from formred.dbgen import (TIE_NAMES, _expand_forms, _int64_safe,
+                           _shift_heights)
+from oracles import compare_record
 
 
 def brute_count(r2):
@@ -130,12 +133,25 @@ def test_compare_stats_single_triangle():
 
 
 def test_compare_stats_block_engine_matches_exact_reference():
-    from formred.dbgen import _compare_stats_exact
-    cfg = LatticeConfig(r2=3, kgon=4)
-    st_block = compare_stats(cfg)
-    st_exact = _compare_stats_exact(lattice_points(3), 4, "up-2dp")
-    assert st_block == st_exact
-    assert st_block.total == math.comb(10, 4)
+    # r2=3 k=4 runs on int64 blocks, r2=3 k=8 on Python-int blocks
+    for r2, k in ((3, 4), (3, 8)):
+        assert _int64_safe(r2, k) == (k == 4)
+        cfg = LatticeConfig(r2=r2, kgon=k)
+        for tie in TIE_NAMES:
+            rows = [compare_record(roots, tie)[2:]
+                    for roots in enumerate_ngons(lattice_points(r2), k)]
+            hyp = sum(h_hyp < h_com for h_com, h_hyp in rows)
+            julia = sum(h_com < h_hyp for h_com, h_hyp in rows)
+            assert compare_stats(cfg, tie) == \
+                CompareStats(len(rows), hyp, julia, len(rows) - hyp - julia)
+        assert compare_stats(cfg).total == math.comb(10, k)
+    # a 4-gon whose shifted heights pass 2**63 stays exact on Python-int blocks
+    roots = ((-700, 3), (-20, 900), (300, 800), (1000, 1))
+    m_com, m_hyp, h_com, h_hyp = compare_record(roots)
+    X = np.array([[x for x, _ in roots]] * 2, dtype=object)
+    Y = np.array([[y for _, y in roots]] * 2, dtype=object)
+    heights = _shift_heights(_expand_forms(X, Y), np.array([m_com, m_hyp]))
+    assert list(heights) == [h_com, h_hyp] and min(heights) > 2 ** 63
 
 
 def test_compare_stats_workers_deterministic():
@@ -217,6 +233,19 @@ def test_config_validation():
         LatticeConfig(r2=5, kgon=0)
     with pytest.raises(ValueError):
         LatticeConfig(r2=5, kgon=3, region="nope")
+
+
+def test_kgon_larger_than_point_set():
+    cfg = LatticeConfig(r2=2, kgon=4)  # 3 lattice points
+    assert compare_stats(cfg) == CompareStats(0, 0, 0, 0)
+    assert compare_stats(cfg, workers=2) == CompareStats(0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        max_distance(cfg, scope="all")
+    for workers in (1, 2):
+        with pytest.raises(ValueError):
+            list(generate_records(cfg, workers=workers))
+    with pytest.raises(ValueError):
+        julia_vs_com_report(cfg)
 
 
 def test_julia_vs_com_report_deterministic():

@@ -8,7 +8,8 @@ from formred import (CentroidResult, UhpPoint,
                      dist_h, hyperbolic_centroid, mobius, nint, psi,
                      q_zero_map, reduce_to_fundamental, right_action)
 from conftest import random_upper_points
-from oracles import centroid_minimize, dist_crossratio, random_sl2
+from oracles import (centroid_minimize, centroid_u2_double_sum, dist_crossratio,
+                     random_sl2)
 
 
 def test_mobius_examples():
@@ -165,14 +166,15 @@ def test_centroid_from_factors_examples():
 
 
 def test_centroid_closed_forms_agree(rng):
-    # psi route vs the explicit double-sum formula (checked inside
-    # centroid_from_factors, which raises on relative disagreement)
+    # psi route vs the explicit double-sum formula for u^2
     for _ in range(300):
         n = int(rng.integers(1, 7))
         pts = random_upper_points(rng, n)
         a = [-2 * x for x, _ in pts]
         b = [x * x + y * y for x, y in pts]
         res = centroid_from_factors(a, b)
+        assert math.isclose(float(res.point.u) ** 2,
+                            centroid_u2_double_sum(a, b), rel_tol=1e-9)
         ref = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
         assert res.point.t == ref.point.t
         rel = abs(res.point.u - ref.point.u) / ref.point.u

@@ -214,6 +214,16 @@ def test_minimize_trivial_and_real_roots():
     assert rep.output_height <= height(mixed)
 
 
+def test_shift_through_both_ends_zero_form():
+    # shift descent on this form passes a shift divisible by xy, which is a
+    # legitimate SL2(Z) image; both stages must reduce it with a certificate
+    f = BinaryForm((0, 3, 2, 1, 2, -1, -1))
+    for r in (shift_descent(f), minimize(f)):
+        assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
+        assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
 def test_pipeline_monotonicity_random(rng):
     for _ in range(60):
         pts = random_upper_points(rng, int(rng.integers(1, 4)), coord_max=12)
