@@ -15,7 +15,8 @@ import os
 import sys
 
 from .dbgen import (DEFAULT_MAXDIST_METRIC, DEFAULT_MAXDIST_SCAN_U,
-                    DEFAULT_MAXDIST_SCOPE, LatticeConfig, compare_stats,
+                    DEFAULT_MAXDIST_SCOPE, MAXDIST_METRICS, MAXDIST_SCAN_US,
+                    MAXDIST_SCOPES, LatticeConfig, compare_stats,
                     generate_records, lattice_points, max_distance,
                     stats_json_dict, write_db)
 from .errors import ConvergenceError, DomainError
@@ -134,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--k", type=int, required=True, help="n-gon size")
     mx.add_argument("--r2", type=int, required=True, help="outer radius")
     mx.add_argument("--metric", default=DEFAULT_MAXDIST_METRIC,
-                    choices=("euclidean", "hyperbolic"))
+                    choices=MAXDIST_METRICS)
     mx.add_argument("--scope", default=DEFAULT_MAXDIST_SCOPE,
-                    choices=("positive-re", "all"),
+                    choices=MAXDIST_SCOPES,
                     help="restrict the scanned n-gons; positive-re is the "
                          "calibrated default reproducing the known witnesses")
     mx.add_argument("--scan-u", default=DEFAULT_MAXDIST_SCAN_U,
-                    choices=("mean-y", "definition"),
+                    choices=MAXDIST_SCAN_US,
                     help="centroid height used in the distance: mean-y is "
                          "the calibrated default, definition is "
                          "sqrt(|C|^2-t^2)")

@@ -6,7 +6,11 @@ yields a monic totally complex form of degree 2k.  The heavy passes run on
 numpy blocks: the max-distance scan on float64, the head-to-head shift
 comparison on int64 or, where `_int64_safe` says the shifted heights could
 overflow int64, on Python-int (object) blocks, so every height comparison
-stays in exact integer arithmetic at every database size.
+stays in exact integer arithmetic at every database size.  The index blocks
+are built without per-row Python work: each k-subset is a short prefix and
+a tail of j indices, and the tails of a prefix are a suffix of one
+lexicographic table of the j-subsets, which j keeps within one block's
+`rows` (see `_index_chunks`).
 """
 
 from __future__ import annotations
@@ -48,8 +52,13 @@ DEFAULT_COMPARE_TIE = "up-2dp"
 DEFAULT_MAXDIST_METRIC = "euclidean"
 DEFAULT_MAXDIST_SCOPE = "positive-re"
 DEFAULT_MAXDIST_SCAN_U = "mean-y"
+MAXDIST_METRICS = ("euclidean", "hyperbolic")
+MAXDIST_SCOPES = ("positive-re", "all")
+MAXDIST_SCAN_US = ("mean-y", "definition")
 
 _CHUNK_ROWS = 200_000
+# the largest |num| with 200 |num| < 2^53 (see _shifts_from_ratio)
+_EXACT_2DP_NUM = (2 ** 53 - 1) // 200
 
 
 @dataclass(frozen=True)
@@ -197,17 +206,53 @@ def _listed(fn, task):
 # vectorized scan engines
 # ---------------------------------------------------------------------------
 
+def _subset_table(n: int, j: int) -> np.ndarray:
+    """The j-subsets of range(n) in lexicographic order, one per row.
+
+    Those whose first entry exceeds p are the j-subsets of range(p + 1, n):
+    the last comb(n - 1 - p, j) rows.  So the i-subsets are each a, followed
+    by that suffix of the (i - 1)-subsets, and `_index_chunks` takes the
+    tails of a prefix ending at p as the same suffix."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for i in range(1, j + 1):
+        counts = [math.comb(n - 1 - a, i - 1) for a in range(n)]
+        tails = np.concatenate([table[len(table) - c:] for c in counts if c])
+        table = np.hstack((np.repeat(np.arange(n), counts)[:, None], tails))
+    return table
+
+
 def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
-    """Index blocks of at most `rows` k-subsets of range(n) whose first index
-    lies in [lo, hi), in lexicographic order; none when k > n."""
-    if k > n:
+    """Index blocks of `rows` k-subsets of range(n) whose first index lies in
+    [lo, hi), in lexicographic order (the last block may be shorter); none
+    when k > n.
+
+    Each k-subset is a prefix of k - j indices, from `enumerate_ngons`, and a
+    tail of j, copied from `_subset_table(n, j)` as the suffix that follows
+    the prefix's last index.  j is the largest j <= k - 1 for which every
+    i-subset table with i <= j has at most `rows` rows, so the table (and its
+    construction) never takes more memory than one block."""
+    hi = min(hi, n - k + 1)
+    if lo >= hi:
         return
-    combos = itertools.chain.from_iterable(enumerate_ngons(range(n), k, (lo, hi)))
-    while True:
-        arr = np.fromiter(itertools.islice(combos, rows * k), dtype=np.int64)
-        if arr.size == 0:
-            return
-        yield arr.reshape(-1, k)
+    j = 0
+    while j < k - 1 and math.comb(n, j + 1) <= rows:
+        j += 1
+    tails = _subset_table(n, j)
+    size = len(tails)
+    block, fill = np.empty((rows, k), dtype=np.int64), 0
+    for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
+        start = size - math.comb(n - 1 - prefix[-1], j)
+        while start < size:
+            take = min(size - start, rows - fill)
+            block[fill:fill + take, :k - j] = prefix
+            block[fill:fill + take, k - j:] = tails[start:start + take]
+            fill += take
+            start += take
+            if fill == rows:
+                yield block
+                block, fill = np.empty((rows, k), dtype=np.int64), 0
+    if fill:
+        yield block[:fill]
 
 
 def _centers(X: np.ndarray, Y: np.ndarray, scan_u: str = "definition"):
@@ -223,22 +268,18 @@ def _centers(X: np.ndarray, Y: np.ndarray, scan_u: str = "definition"):
     hyp_t = (W * X).sum(axis=1) / s
     if scan_u == "mean-y":
         hyp_u = (W * Y).sum(axis=1) / s
-    elif scan_u == "definition":
+    else:
         normsq = (W * (X * X + Y * Y)).sum(axis=1) / s
         hyp_u = np.sqrt(np.maximum(normsq - hyp_t * hyp_t, 0.0))
-    else:
-        raise ValueError(f"unknown scan_u {scan_u!r}")
     return com_t, com_u, hyp_t, hyp_u
 
 
 def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):
     d2 = (com_t - hyp_t) ** 2 + (com_u - hyp_u) ** 2
-    if metric == "euclidean":
-        return d2
     if metric == "hyperbolic":
         # monotone surrogate for acosh(1 + d2 / (2 u v))
         return d2 / (2.0 * com_u * hyp_u)
-    raise ValueError(f"unknown metric {metric!r}")
+    return d2
 
 
 def _maxdist_range(task):
@@ -268,11 +309,14 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     metric = metric or DEFAULT_MAXDIST_METRIC
     scope = scope or DEFAULT_MAXDIST_SCOPE
     scan_u = scan_u or DEFAULT_MAXDIST_SCAN_U
+    for name, value, allowed in (("metric", metric, MAXDIST_METRICS),
+                                 ("scope", scope, MAXDIST_SCOPES),
+                                 ("scan_u", scan_u, MAXDIST_SCAN_US)):
+        if value not in allowed:
+            raise ValueError(f"unknown {name} {value!r}")
     points = lattice_points(config.r2, config.region, config.r1)
     if scope == "positive-re":
         points = [p for p in points if p[0] >= 1]
-    elif scope != "all":
-        raise ValueError(f"unknown scope {scope!r}")
     k = config.kgon
     if k > len(points):
         raise ValueError("k-gon larger than the point set")
@@ -289,13 +333,27 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
 
 
 def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
-    """Integer shifts from the exact ratio num/den under a tie convention."""
-    if tie == "up-2dp":
-        t = num.astype(np.float64) / np.asarray(den, dtype=np.float64)
-        t2 = np.fromiter((round(float(v), 2) for v in t), dtype=np.float64,
-                         count=len(t))
-        return np.floor(t2 + 0.5).astype(np.int64)
-    return _nint_ratio(num, den, tie)
+    """Integer (int64) shifts from the exact ratio num/den under a tie
+    convention.
+
+    'up-2dp' is floor(round(t, 2) + 1/2) for the double t nearest num/den.
+    It is computed in integers, as c = the cents of num/den rounded half up
+    and then floor(c/100 + 1/2): unless num/den is exactly half a cent, it
+    is more than 1/(200 den) from every half cent, farther than t when
+    200 |num| < 2^53 and den < 2^53, so t rounds to the same c.  Exact half
+    cents and larger ratios keep the double formula."""
+    if tie != "up-2dp":
+        return _nint_ratio(num, den, tie)
+    den = np.broadcast_to(den, num.shape)
+    scaled, twice = 200 * num, 2 * den
+    shifts = ((scaled + den) // twice + 50) // 100
+    double = ((scaled % twice == den) | (abs(num) > _EXACT_2DP_NUM)
+              | (den >= 2 ** 53))
+    if double.any():
+        t = num[double].astype(np.float64) / den[double].astype(np.float64)
+        t2 = np.array([round(float(v), 2) for v in t], dtype=np.float64)
+        shifts[double] = np.floor(t2 + 0.5).astype(np.int64)
+    return shifts.astype(np.int64, copy=False)
 
 
 def _expand_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -375,6 +433,8 @@ def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,
     equal *shifts* as `same` gives identical buckets: equal shifts force
     equal heights, and unequal shifts with equal heights land in `same`
     either way.)"""
+    if tie not in TIE_NAMES:
+        raise ValueError(f"unknown rounding mode {tie!r}")
     points = lattice_points(config.r2, config.region, config.r1)
     k = config.kgon
     dtype = np.int64 if _int64_safe(config.r2, k) else object

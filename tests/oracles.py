@@ -284,6 +284,19 @@ def compare_record(roots, tie="up-2dp"):
     return m_com, m_hyp, shifted_height(m_com), shifted_height(m_hyp)
 
 
+def index_chunks_reference(n, k, lo, hi, rows):
+    """The k-subsets of range(n) whose first index lies in [lo, hi), in
+    lexicographic order, as int64 blocks of `rows` rows (the last may be
+    shorter), cut from one flat itertools stream."""
+    combos = itertools.chain.from_iterable(
+        c for c in itertools.combinations(range(n), k) if lo <= c[0] < hi)
+    while True:
+        arr = np.fromiter(itertools.islice(combos, rows * k), dtype=np.int64)
+        if arr.size == 0:
+            return
+        yield arr.reshape(-1, k)
+
+
 def random_sl2(rng, span=5):
     """Random SL2(Z) matrix with small entries, via extended gcd."""
     while True:

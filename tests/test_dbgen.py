@@ -10,9 +10,11 @@ from formred import (CompareStats, LatticeConfig, build_record,
                      gauss_estimate, generate_records, height,
                      julia_vs_com_report, lattice_points, max_distance,
                      read_db, shift, stats_json_dict, write_db, UhpPoint)
-from formred.dbgen import (TIE_NAMES, _expand_forms, _int64_safe,
-                           _shift_heights)
-from oracles import compare_record
+from formred import dbgen
+from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _expand_forms,
+                           _index_chunks, _int64_safe, _range_tasks,
+                           _shift_heights, _shifts_from_ratio)
+from oracles import compare_record, index_chunks_reference
 
 
 def brute_count(r2):
@@ -68,6 +70,95 @@ def test_enumerate_ngons_partitioning():
     for lo, hi in ((0, 2), (2, 5), (5, len(pts))):
         merged.extend(enumerate_ngons(pts, 4, first_range=(lo, hi)))
     assert merged == full
+
+
+def _same_blocks(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_index_chunks_match_reference():
+    # rows 1, 3 and 7 split blocks mid-prefix and, with the default, use
+    # every tail width j = 0 .. k-1 (the largest j <= k-1 whose subset
+    # tables up to j have at most `rows` rows)
+    widths = set()
+    for n in range(10):
+        for k in range(1, n + 2):
+            for rows in (1, 3, 7, _CHUNK_ROWS):
+                j = 0
+                while j < k - 1 and math.comb(n, j + 1) <= rows:
+                    j += 1
+                if k <= n:
+                    widths.add(j)
+                last = max(n - k + 1, 0)
+                for lo, hi in ((0, 0), (2, 2), (3, 1), (0, 1), (1, last),
+                               (0, last), (last // 2, n + 4), (n, n + 1)):
+                    _same_blocks(_index_chunks(n, k, lo, hi, rows),
+                                 index_chunks_reference(n, k, lo, hi, rows))
+    assert widths == set(range(9))
+
+
+def test_index_chunks_concatenate_over_range_tasks():
+    for n, k in ((12, 3), (20, 4), (9, 9), (5, 7)):
+        full = np.array(list(itertools.combinations(range(n), k)),
+                        dtype=np.int64).reshape(-1, k)
+        for workers in (1, 3):
+            blocks = [b for *_, lo, hi in _range_tasks(range(n), k, workers)
+                      for b in _index_chunks(n, k, lo, hi, rows=7)]
+            got = (np.concatenate(blocks) if blocks
+                   else np.empty((0, k), dtype=np.int64))
+            assert np.array_equal(got, full)
+
+
+def _up_2dp(num, den):
+    # the 'up-2dp' convention written out on the double nearest num/den
+    return math.floor(round(float(num) / float(den), 2) + 0.5)
+
+
+def test_up_2dp_shifts_integer_and_double_rows():
+    ratios = [
+        (1, 8), (3, 8), (-5, 8), (107, 40), (201, 200),  # exact half cents
+        (99, 200), (-101, 200), (-99, 200),  # half cents the double misses
+        (5, 2), (-7, 2), (0, 3), (7, 3), (-22, 7), (1, 1), (-1, 1)]
+    for c in range(-400, 400, 37):  # near half cents, den about 10^6
+        for den in (999_983, 1_000_000, 1_048_576):
+            tie = (2 * c + 1) * den
+            ratios += [(tie // 200 + d, den) for d in (-1, 0, 1)]
+    for dtype in (np.int64, object):
+        num = np.array([p for p, _ in ratios], dtype=dtype)
+        den = np.array([q for _, q in ratios], dtype=dtype)
+        got = _shifts_from_ratio(num, den, "up-2dp")
+        assert got.dtype == np.int64
+        assert list(got) == [_up_2dp(p, q) for p, q in ratios]
+        got = _shifts_from_ratio(num, 7, "up-2dp")
+        assert list(got) == [_up_2dp(p, 7) for p, _ in ratios]
+    # object rows past the exact range 200 |num| < 2^53 keep the double
+    big = [(2 ** 53 // 200 + d, q) for d in (-1, 0, 1, 2) for q in (1, 2, 3, 8)]
+    big += [(-(2 ** 60) - 5, 3), (2 ** 62 + 1, 10 ** 5), (3 * 2 ** 55, 2 ** 54)]
+    got = _shifts_from_ratio(np.array([p for p, _ in big], dtype=object),
+                             np.array([q for _, q in big], dtype=object),
+                             "up-2dp")
+    assert got.dtype == np.int64
+    assert list(got) == [_up_2dp(p, q) for p, q in big]
+
+
+def test_unknown_conventions_rejected_before_the_scan(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dbgen, "_index_chunks", unreachable)
+    monkeypatch.setattr(dbgen, "_fan_out", unreachable)
+    for cfg in (LatticeConfig(r2=4, kgon=3), LatticeConfig(r2=2, kgon=9)):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="bogus"):
+                compare_stats(cfg, tie="bogus", workers=workers)
+            for kwargs in ({"metric": "bogus"}, {"scan_u": "bogus"},
+                           {"scope": "bogus"}):
+                with pytest.raises(ValueError, match="bogus"):
+                    max_distance(cfg, workers=workers, **kwargs)
 
 
 def test_build_record_examples():
