@@ -16,15 +16,15 @@ import sys
 
 from .dbgen import (DEFAULT_MAXDIST_METRIC, DEFAULT_MAXDIST_SCAN_U,
                     DEFAULT_MAXDIST_SCOPE, MAXDIST_METRICS, MAXDIST_SCAN_US,
-                    MAXDIST_SCOPES, LatticeConfig, compare_stats,
-                    generate_records, lattice_points, max_distance,
-                    stats_json_dict, write_db)
+                    MAXDIST_SCOPES, REGIONS, TIE_NAMES, LatticeConfig,
+                    compare_stats, generate_records, lattice_points,
+                    max_distance, stats_json_dict, write_db)
 from .errors import ConvergenceError, DomainError
 from .forms import BinaryForm
 from .quad import QuadraticForm, enumerate_reduced, q_discriminant, q_reduce
 from .reduce import minimize, reduce_com, reduce_hyperbolic, reduce_julia
 
-TIE_CHOICES = ("up-2dp", "away", "even", "zero", "up")
+TIE_CHOICES = tuple(TIE_NAMES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "JSONL file (or just count with --no-store).")
     gen.add_argument("--k", type=int, required=True, help="n-gon size")
     gen.add_argument("--r2", type=int, required=True, help="outer radius")
-    gen.add_argument("--region", default="halfdisc-exclude-i",
-                     choices=("halfdisc-exclude-i", "positive-re"),
+    gen.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS,
                      help="lattice region; default keeps y>=1, 1<|z|<=r2")
     gen.add_argument("--out", help="output JSONL path")
     gen.add_argument("--no-store", action="store_true",
@@ -117,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "bucket by the smaller resulting height.")
     cmp_.add_argument("--k", type=int, required=True, help="n-gon size")
     cmp_.add_argument("--r2", type=int, required=True, help="outer radius")
-    cmp_.add_argument("--region", default="halfdisc-exclude-i",
-                      choices=("halfdisc-exclude-i", "positive-re"))
+    cmp_.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS)
     cmp_.add_argument("--tie", default="up-2dp", choices=TIE_CHOICES,
                       help="shift rounding convention; up-2dp (2-decimal "
                            "pre-round, then half-up) reproduces the "
@@ -145,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="centroid height used in the distance: mean-y is "
                          "the calibrated default, definition is "
                          "sqrt(|C|^2-t^2)")
-    mx.add_argument("--region", default="halfdisc-exclude-i",
-                    choices=("halfdisc-exclude-i", "positive-re"))
+    mx.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS)
     mx.add_argument("--workers", type=_workers, default=1,
                     help="worker processes, at most the CPU count")
 

@@ -31,12 +31,13 @@ from .julia import minimize_theta0
 
 REGIONS = ("halfdisc-exclude-i", "positive-re")
 
+# the CLI offers these keys as its --tie choices, in this order
 TIE_NAMES = {
+    "up-2dp": "half-up-after-2dp-round",
     "away": "away-from-zero",
     "even": "half-even",
     "zero": "half-toward-zero",
     "up": "half-up",
-    "up-2dp": "half-up-after-2dp-round",
 }
 
 # Shift convention reproducing the reference comparison buckets exactly:

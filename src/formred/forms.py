@@ -247,16 +247,17 @@ def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     return None
 
 
-def roots_upper(f: BinaryForm, tol: float = 1e-8) -> UpperRootSet:
+def roots_upper(f: BinaryForm) -> UpperRootSet:
     """Numeric roots of f split by half-plane.
 
-    Roots with imaginary part above tol*(1 + |root|) are classified as upper,
-    |Im| at most that threshold as real, the rest as lower-half conjugates.
-    Leading zero coefficients become real roots at infinity.  Clustered
-    configurations that double precision cannot separate are redone with an
-    arbitrary-precision solver; raises ConvergenceError when conjugates still
-    fail to pair up.
+    Roots with imaginary part above 1e-8*(1 + |root|) are classified as
+    upper, |Im| at most that band as real, the rest as lower-half conjugates;
+    two roots within that band are repeated.  Leading zero coefficients
+    become real roots at infinity.  Clustered configurations that double
+    precision cannot separate are redone with an arbitrary-precision solver;
+    raises ConvergenceError when conjugates still fail to pair up.
     """
+    tol = 1e-8
     coeffs = list(f.coeffs)
     at_infinity = 0
     while coeffs and coeffs[0] == 0:

@@ -213,7 +213,7 @@ def centroid_from_factors(a: Sequence, b: Sequence) -> CentroidResult:
     return hyperbolic_centroid(points)
 
 
-def reduce_to_fundamental(z: UhpPoint, max_iter: int = 10000):
+def reduce_to_fundamental(z: UhpPoint):
     """Move z into |Re| <= 1/2, |z| >= 1 by translations and inversions.
 
     Returns (z', M) where z' = mobius(M.inverse(), z); equivalently z' is the
@@ -223,7 +223,7 @@ def reduce_to_fundamental(z: UhpPoint, max_iter: int = 10000):
     t, u = z.t, z.u
     N = UnimodularMatrix.identity()
     S = UnimodularMatrix.inversion()
-    for _ in range(max_iter):
+    for _ in range(10000):
         m = nint(t, "away")
         if m != 0:
             t = t - m

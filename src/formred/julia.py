@@ -13,7 +13,7 @@ quadratic and its zero-map point drives the reduction.
 The minimizer works in log-weight coordinates, where the objective is smooth
 and the scaling direction is an exact null direction of both gradient and
 Hessian.  A damped Newton iteration (gradient fallback) drives the projected
-gradient below tol.
+gradient below 1e-10.
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ class JuliaWeights:
     def __post_init__(self):
         if any(v <= 0 for v in self.t) or any(v <= 0 for v in self.u):
             raise ValueError("Julia weights must be strictly positive")
-
-    def normalized(self) -> "JuliaWeights":
-        log_norm = 2 * sum(math.log(v) for v in self.t) + 4 * sum(
-            math.log(v) for v in self.u
-        )
-        n = 2 * len(self.t) + 4 * len(self.u)
-        lam = math.exp(-log_norm / n)
-        return JuliaWeights(
-            tuple(lam * v for v in self.t), tuple(lam * v for v in self.u)
-        )
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ def _objective_data(roots: UpperRootSet):
 
 
 def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
-                          max_iter: int, xi0=None):
+                          max_iter: int, xi0):
     """Damped Newton on F(xi) = (n/2) log|disc Q| - sum m_k xi_k, Q = sum e^xi_k R_k.
 
     The all-ones direction is a null direction (scale invariance), so the
@@ -130,8 +120,7 @@ def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
     K = len(m)
     Rld = R.astype(np.longdouble)
     mld = m.astype(np.longdouble)
-    xi = np.zeros(K, dtype=np.longdouble) if xi0 is None else \
-        np.asarray(xi0, dtype=np.longdouble).copy()
+    xi = np.array(xi0, dtype=np.longdouble)
     tau = 4.0 * (np.outer(Rld[:, 0], Rld[:, 2]) + np.outer(Rld[:, 2], Rld[:, 0])) \
         - 2.0 * np.outer(Rld[:, 1], Rld[:, 1])
 
@@ -203,10 +192,12 @@ def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
     raise ConvergenceError(f"theta_0 minimization did not reach tol={tol}")
 
 
-def minimize_theta0(f: BinaryForm, tol: float = 1e-10, max_iter: int = 10000,
+def minimize_theta0(f: BinaryForm,
                     roots: UpperRootSet | None = None) -> JuliaResult:
-    """Minimize theta_0 over the weights; returns the Julia quadratic, the
-    Julia invariant, the normalized weights and the Julia zero point.
+    """Minimize theta_0 over the weights, to a projected gradient below
+    1e-10; returns the Julia quadratic, the Julia invariant, the normalized
+    weights and the Julia zero point.  `roots` is roots_upper(f) when the
+    caller already has it.
 
     Requires the leading coefficient nonzero and either a non-real root or
     at least three distinct real roots (else no positive definite minimum).
@@ -228,7 +219,7 @@ def minimize_theta0(f: BinaryForm, tol: float = 1e-10, max_iter: int = 10000,
     else:
         # start near the centroid quadratic: pair weights proportional to 1/y
         xi0 = [0.0] * r + [math.log(0.5 / float(b.u)) for b in roots.upper]
-        xi, _ = _minimize_log_weights(R, m, n, tol, max_iter, xi0)
+        xi, _ = _minimize_log_weights(R, m, n, 1e-10, 10000, xi0)
     # normalize prod t^2 prod u^4 = 1, i.e. sum m_k xi_k = 0
     xi = xi - (m @ xi) / m.sum()
     p = np.exp(xi)

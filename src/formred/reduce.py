@@ -4,6 +4,10 @@ Every stage is monotone: it returns its input (primitive) unchanged when the
 attempted transformation does not strictly lower the height.  Shifts here are
 substitutions x -> x + m*y; moving a center at Re = t into the fundamental
 strip therefore uses m = nint(t).
+
+`minimize` finds the roots once and picks its first stage from their
+signature: hyperbolic with no real root, center of mass with a non-real
+root, Julia when every root is real.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .forms import (BinaryForm, UnimodularMatrix, height, primitive,
-                    roots_upper, shift, transform)
+from .forms import (BinaryForm, UnimodularMatrix, UpperRootSet, height,
+                    primitive, roots_upper, shift, transform)
 from .hyper import UhpPoint, center_of_mass, hyperbolic_centroid, nint, \
     reduce_to_fundamental
 from .julia import minimize_theta0
@@ -62,18 +66,20 @@ def _finish(f: BinaryForm, candidate: BinaryForm, M: UnimodularMatrix,
             scale: Fraction = Fraction(1)) -> ReductionReport:
     """Keep the candidate only when it strictly lowers the height."""
     f0 = primitive(f)
-    h0 = height(f0)
+    h0 = max(map(abs, f0.coeffs))
     cand = primitive(candidate)
-    h1 = height(cand)
+    h1 = max(map(abs, cand.coeffs))
     if h1 < h0:
         return ReductionReport(f, cand, M, scale, method, h0, h1, zero)
     return ReductionReport(f, f0, UnimodularMatrix.identity(), Fraction(1),
                            method, h0, h0, zero)
 
 
-def reduce_hyperbolic(f: BinaryForm, tol: float = 1e-8) -> ReductionReport:
-    """Reduce a totally complex form by its hyperbolic centroid."""
-    rootset = roots_upper(f, tol)
+def reduce_hyperbolic(f: BinaryForm,
+                      roots: UpperRootSet | None = None) -> ReductionReport:
+    """Reduce a totally complex form by its hyperbolic centroid; `roots` is
+    roots_upper(f) when the caller already has it."""
+    rootset = roots_upper(f) if roots is None else roots
     if rootset.real:
         raise DomainError("hyperbolic reduction requires a form with no real roots")
     cent = hyperbolic_centroid(list(rootset.upper))
@@ -81,10 +87,12 @@ def reduce_hyperbolic(f: BinaryForm, tol: float = 1e-8) -> ReductionReport:
     return _finish(f, transform(f, M), M, "hyperbolic", cent.point)
 
 
-def reduce_com(f: BinaryForm, tie: str = "away", tol: float = 1e-8) -> ReductionReport:
+def reduce_com(f: BinaryForm, tie: str = "away",
+               roots: UpperRootSet | None = None) -> ReductionReport:
     """Shift by the rounded real part of the upper-root center of mass
-    (the experimental stand-in for Julia reduction in the database runs)."""
-    rootset = roots_upper(f, tol)
+    (the experimental stand-in for Julia reduction in the database runs);
+    `roots` is roots_upper(f) when the caller already has it."""
+    rootset = roots_upper(f) if roots is None else roots
     if not rootset.upper:
         raise DomainError("center-of-mass reduction requires a non-real root")
     com = center_of_mass(list(rootset.upper))
@@ -92,10 +100,12 @@ def reduce_com(f: BinaryForm, tie: str = "away", tol: float = 1e-8) -> Reduction
     return _finish(f, shift(f, m), UnimodularMatrix.translation(m), "com", com)
 
 
-def reduce_julia(f: BinaryForm, tol: float = 1e-10) -> ReductionReport:
+def reduce_julia(f: BinaryForm,
+                 roots: UpperRootSet | None = None) -> ReductionReport:
     """True Julia reduction: move the theta_0 minimizer's zero into the
-    fundamental domain."""
-    res = minimize_theta0(f, tol=tol)
+    fundamental domain; `roots` is roots_upper(f) when the caller already
+    has it."""
+    res = minimize_theta0(f, roots=roots)
     _, M = reduce_to_fundamental(res.zero)
     return _finish(f, transform(f, M), M, "julia", res.zero)
 
@@ -132,12 +142,8 @@ def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
                 misses = 0
             else:
                 misses += 1
-    out = shift(f0, best_m)
-    M = UnimodularMatrix.translation(best_m)
-    if best_m == 0:
-        return ReductionReport(f, f0, UnimodularMatrix.identity(), Fraction(1),
-                               "shift-descent", h0, h0)
-    return ReductionReport(f, out, M, Fraction(1), "shift-descent", h0, best_h)
+    return _finish(f, shift(f0, best_m), UnimodularMatrix.translation(best_m),
+                   "shift-descent")
 
 
 def _smooth(w: int, c: int) -> bool:
@@ -185,25 +191,25 @@ def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
         h = max(map(abs, g)) // math.gcd(*g)
         if h < best[0]:
             best = (h, u, v, g)
-    h, u, v, g = best
-    return ReductionReport(f, primitive(BinaryForm(tuple(g))),
-                           UnimodularMatrix.identity(), Fraction(u, v),
-                           "scaling", h0, h)
+    _, u, v, g = best
+    return _finish(f, BinaryForm(tuple(g)), UnimodularMatrix.identity(),
+                   "scaling", scale=Fraction(u, v))
 
 
 def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
              tie: str = "away") -> ReductionReport:
-    """Full pipeline: centroid (or center-of-mass, or Julia) reduction, then
-    shift descent, then the scaling scan."""
+    """Full pipeline: a zero-point reduction picked from the root signature
+    (hyperbolic centroid with no real root, center of mass with a non-real
+    one, Julia otherwise), then shift descent, then the scaling scan."""
     if f.degree < 2:
         raise ValueError("minimize needs degree >= 2")
-    try:
-        stage1 = reduce_hyperbolic(f)
-    except DomainError:
-        try:
-            stage1 = reduce_com(f, tie=tie)
-        except DomainError:
-            stage1 = reduce_julia(f)
+    roots = roots_upper(f)
+    if not roots.real:
+        stage1 = reduce_hyperbolic(f, roots=roots)
+    elif roots.upper:
+        stage1 = reduce_com(f, tie=tie, roots=roots)
+    else:
+        stage1 = reduce_julia(f, roots=roots)
     stage2 = shift_descent(stage1.output, patience)
     stage3 = scale_search(stage2.output, bound)
     matrix = stage1.matrix @ stage2.matrix

@@ -297,6 +297,31 @@ def index_chunks_reference(n, k, lo, hi, rows):
         yield arr.reshape(-1, k)
 
 
+def minimize_cascade(f, patience=3, bound=64, tie="away"):
+    """The full pipeline with stage 1 picked by trial: hyperbolic reduction,
+    on DomainError center of mass, on DomainError again Julia; then shift
+    descent and the scaling scan.  Built from the public stage functions, so
+    each attempt finds the roots again."""
+    from formred import (DomainError, ReductionReport, reduce_com,
+                         reduce_hyperbolic, reduce_julia, scale_search,
+                         shift_descent)
+
+    if f.degree < 2:
+        raise ValueError("minimize needs degree >= 2")
+    try:
+        stage1 = reduce_hyperbolic(f)
+    except DomainError:
+        try:
+            stage1 = reduce_com(f, tie=tie)
+        except DomainError:
+            stage1 = reduce_julia(f)
+    stage2 = shift_descent(stage1.output, patience)
+    stage3 = scale_search(stage2.output, bound)
+    return ReductionReport(f, stage3.output, stage1.matrix @ stage2.matrix,
+                           stage3.scale, "full", stage1.input_height,
+                           stage3.output_height, stage1.zero_used)
+
+
 def random_sl2(rng, span=5):
     """Random SL2(Z) matrix with small entries, via extended gcd."""
     while True:

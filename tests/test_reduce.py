@@ -2,13 +2,25 @@ from fractions import Fraction
 
 import pytest
 
+import formred.julia
+import formred.reduce
 from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
                      from_upper_roots, height, minimize, primitive,
                      reduce_com, reduce_hyperbolic, reduce_julia,
                      scale_search, shift, shift_descent, shift_direction,
                      transform)
-from conftest import random_upper_points
-from oracles import scale_exhaustive, scale_lemma, scaled_primitive, wgcd
+from conftest import TRIANGLE_COEFFS, random_upper_points
+from oracles import (minimize_cascade, scale_exhaustive, scale_lemma,
+                     scaled_primitive, wgcd)
+
+# one form per stage-1 route of minimize, plus two that end otherwise
+ROUTE_FORMS = {
+    "hyperbolic": TRIANGLE_COEFFS,
+    "com": (1, 0, 1, 1),
+    "julia": (1, 0, -2, 0),
+    "both-ends-zero": (0, 3, 2, 1, 2, -1, -1),
+    "domain-error": (1, 0, -2),
+}
 
 
 def test_reduce_hyperbolic_examples(triangle, pentagon):
@@ -203,15 +215,56 @@ def test_minimize_trivial_and_real_roots():
     r = minimize(f)
     assert r.output == f
 
-    # mixed signature falls back to the center-of-mass branch
-    g = BinaryForm((1, 0, -2, 0))  # x(x^2 - 2y^2): roots 0, +-sqrt2... real
-    # all-real cubic routes to reduce_julia
-    rep = minimize(g)
-    assert rep.output_height <= height(g)
+    # all-real cubic x(x^2 - 2y^2): roots 0 and +-sqrt2, so stage 1 is Julia;
+    # one real root and one conjugate pair: stage 1 is the center of mass.
+    # The shifted copies make the stage-1 matrix non-trivial.
+    g = BinaryForm((1, 0, -2, 0))
+    mixed = BinaryForm((1, 0, 1, 1))
+    for k in (0, 7, -30):
+        for form, stage1 in ((shift(g, k), reduce_julia),
+                             (shift(mixed, k), reduce_com)):
+            rep, ref = minimize(form), stage1(form)
+            assert (rep.matrix, rep.zero_used) == (ref.matrix, ref.zero_used)
+            assert rep.output_height <= height(form)
 
-    mixed = BinaryForm((1, 0, 1, 1))  # one real root, one pair
-    rep = minimize(mixed)
-    assert rep.output_height <= height(mixed)
+
+@pytest.mark.parametrize("route", sorted(ROUTE_FORMS))
+def test_minimize_finds_roots_once(route, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapped(f):
+            calls.append(f)
+            return fn(f)
+        return wrapped
+
+    for module in (formred.reduce, formred.julia):
+        monkeypatch.setattr(module, "roots_upper", counted(module.roots_upper))
+    f = BinaryForm(ROUTE_FORMS[route])
+    if route == "domain-error":
+        with pytest.raises(DomainError):
+            minimize(f)
+    else:
+        minimize(f)
+    assert calls == [f]
+
+
+@pytest.mark.parametrize("coeffs", sorted(ROUTE_FORMS.values()) + [
+    (12345678901234567890, -98765432109876543210, 11111111111111111111,
+     31415926535897932384),
+    (1, -8, 15, 24),  # com at Re 4.5: the two ties reach heights 16 and 10
+])
+def test_minimize_matches_stage1_cascade(coeffs):
+    def outcome(pipeline, f, tie):
+        try:
+            r = pipeline(f, tie=tie)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return r.to_json_dict(), r.scale, r.matrix
+
+    f = BinaryForm(coeffs)
+    for tie in ("away", "zero"):
+        assert outcome(minimize, f, tie) == outcome(minimize_cascade, f, tie)
 
 
 def test_shift_through_both_ends_zero_form():
