@@ -6,11 +6,13 @@ yields a monic totally complex form of degree 2k.  The heavy passes run on
 numpy blocks: the max-distance scan on float64, the head-to-head shift
 comparison on int64 or, where `_int64_safe` says the shifted heights could
 overflow int64, on Python-int (object) blocks, so every height comparison
-stays in exact integer arithmetic at every database size.  The index blocks
-are built without per-row Python work: each k-subset is a short prefix and
-a tail of j indices, and the tails of a prefix are a suffix of one
-lexicographic table of the j-subsets, which j keeps within one block's
-`rows` (see `_index_chunks`).
+stays in exact integer arithmetic at every database size.  Blocks run
+through the kernels single forms use, one numpy column per coefficient or
+point: the root-quadratic product, the Taylor shift and the (1/y) weights.
+The index blocks are built without per-row Python work: each k-subset is a
+short prefix and a tail of j indices, and the tails of a prefix are a suffix
+of one lexicographic table of the j-subsets, which j keeps within one
+block's `rows` (see `_index_chunks`).
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
-from .forms import UpperRootSet, from_upper_roots
-from .hyper import (UhpPoint, _nint_ratio, center_of_mass,
+from .forms import (UpperRootSet, _quadratic_product, _taylor_shift,
+                    from_upper_roots)
+from .hyper import (UhpPoint, _inverse_y_weights, _nint_ratio, center_of_mass,
                     hyperbolic_centroid, nint)
 from .julia import minimize_theta0
 
@@ -113,14 +117,8 @@ def lattice_points(r2: int, region: str = "halfdisc-exclude-i", r1: int = 1):
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     lo = 1 if region == "positive-re" else -r2
-    pts = []
-    for x in range(lo, r2 + 1):
-        for y in range(1, r2 + 1):
-            q = x * x + y * y
-            if r1 * r1 < q <= r2 * r2:
-                pts.append((x, y))
-    pts.sort()
-    return pts
+    return [(x, y) for x in range(lo, r2 + 1) for y in range(1, r2 + 1)
+            if r1 * r1 < x * x + y * y <= r2 * r2]
 
 
 def gauss_estimate(r1: float, r2: float) -> float:
@@ -264,13 +262,12 @@ def _centers(X: np.ndarray, Y: np.ndarray, scan_u: str = "definition"):
     reference witnesses."""
     com_t = X.mean(axis=1)
     com_u = Y.mean(axis=1)
-    W = Y.prod(axis=1, keepdims=True) / Y  # prod_{k != i} y_k
-    s = W.sum(axis=1)
-    hyp_t = (W * X).sum(axis=1) / s
+    W, s = _inverse_y_weights(Y.T)
+    hyp_t = sum(w * x for w, x in zip(W, X.T)) / s
     if scan_u == "mean-y":
-        hyp_u = (W * Y).sum(axis=1) / s
+        hyp_u = sum(w * y for w, y in zip(W, Y.T)) / s
     else:
-        normsq = (W * (X * X + Y * Y)).sum(axis=1) / s
+        normsq = sum(w * (x * x + y * y) for w, x, y in zip(W, X.T, Y.T)) / s
         hyp_u = np.sqrt(np.maximum(normsq - hyp_t * hyp_t, 0.0))
     return com_t, com_u, hyp_t, hyp_u
 
@@ -286,12 +283,9 @@ def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):
 def _maxdist_range(task):
     """Per index block: the largest distance key and its (first) index set."""
     points, k, metric, scan_u, lo, hi = task
-    xs = np.array([p[0] for p in points], dtype=np.float64)
-    ys = np.array([p[1] for p in points], dtype=np.float64)
+    xs, ys = np.array(points, dtype=np.float64).T
     for idx in _index_chunks(len(points), k, lo, hi):
-        X = xs[idx]
-        Y = ys[idx]
-        com_t, com_u, hyp_t, hyp_u = _centers(X, Y, scan_u)
+        com_t, com_u, hyp_t, hyp_u = _centers(xs[idx], ys[idx], scan_u)
         key = _distance_key(metric, com_t, com_u, hyp_t, hyp_u)
         j = int(np.argmax(key))
         yield float(key[j]), tuple(int(v) for v in idx[j])
@@ -357,66 +351,41 @@ def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
     return shifts.astype(np.int64, copy=False)
 
 
-def _expand_forms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Coefficient rows of prod_i (x^2 - 2 x_i xy + (x_i^2+y_i^2) y^2), in the
-    dtype of X: int64, or Python ints (object) where `_int64_safe` says the
-    coefficients could overflow int64."""
-    m, k = X.shape
-    cur = np.zeros((m, 3), dtype=X.dtype)
-    cur[:, 0] = 1
-    cur[:, 1] = -2 * X[:, 0]
-    cur[:, 2] = X[:, 0] ** 2 + Y[:, 0] ** 2
-    for j in range(1, k):
-        A = (-2 * X[:, j])[:, None]
-        B = (X[:, j] ** 2 + Y[:, j] ** 2)[:, None]
-        new = np.zeros((m, cur.shape[1] + 2), dtype=X.dtype)
-        new[:, :-2] += cur
-        new[:, 1:-1] += cur * A
-        new[:, 2:] += cur * B
-        cur = new
-    return cur
+def _expand_forms(X: np.ndarray, Y: np.ndarray) -> list:
+    """Coefficient columns of the rows' forms prod_i (x^2 - 2 x_i xy +
+    (x_i^2+y_i^2) y^2) in the dtype of X (int64, or object where
+    `_int64_safe` fails); the leading coefficient is the number 1."""
+    return _quadratic_product((-2 * x, x * x + y * y)
+                              for x, y in zip(X.T, Y.T))
 
 
-def _pascal_shift(n: int, m: int, dtype) -> np.ndarray:
-    """Matrix P with (coeffs of f(x + m y, y)) = coeffs @ P."""
-    P = np.zeros((n + 1, n + 1), dtype=dtype)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            P[i, j] = math.comb(n - i, j - i) * m ** (j - i)
-    return P
-
-
-def _shift_heights(coeffs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _shift_heights(coeffs: list, shifts: np.ndarray) -> np.ndarray:
     """Heights of the shifted (monic, hence primitive) forms, exact in the
-    dtype of `coeffs`: int64, or Python ints (object) where `_int64_safe`
-    says int64 could overflow."""
-    n = coeffs.shape[1] - 1
-    out = np.empty(coeffs.shape[0], dtype=coeffs.dtype)
-    for mval in np.unique(shifts):
-        mask = shifts == mval
-        sub = coeffs[mask] @ _pascal_shift(n, int(mval), coeffs.dtype)
-        out[mask] = np.abs(sub).max(axis=1)
-    return out
+    dtype of the coefficient columns: int64, or Python ints (object) where
+    `_int64_safe` says int64 could overflow.
+
+    After p passes, b[j] of the Taylor shift is sum_i c_i C(j-i+p-1, j-i)
+    m^(j-i), binomials at most the final C(n-i, j-i).  So every intermediate
+    (and every m b[j-1]) is at most sum_i |c_i| (1+|m|)^(n-i), which the
+    root factors bound by (1 + |m| + r2)^(2k) <= (1 + r2)^(4k) < 2^62: |x_i|
+    <= r2, x_i^2 + y_i^2 <= r2^2 and |m| <= r2 (m rounds a mean of x_i)."""
+    return reduce(np.maximum, map(abs, _taylor_shift(list(coeffs), shifts)))
 
 
 def _int64_safe(r2: int, k: int) -> bool:
-    # coefficient bound (1+r2)^(2k) and shift growth (1+r2)^(2k) again
+    # bounds the coefficients and every shift intermediate: _shift_heights
     return (1 + r2) ** (4 * k) < 2 ** 62
 
 
 def _compare_range(task):
     """Per index block: (rows, hyperbolic wins, julia wins, same)."""
     points, k, tie, dtype, lo, hi = task
-    xs = np.array([p[0] for p in points], dtype=dtype)
-    ys = np.array([p[1] for p in points], dtype=dtype)
+    xs, ys = np.array(points, dtype=dtype).T
     for idx in _index_chunks(len(points), k, lo, hi):
-        X = xs[idx]
-        Y = ys[idx]
+        X, Y = xs[idx], ys[idx]
         m_com = _shifts_from_ratio(X.sum(axis=1), k, tie)
-        prodY = Y.prod(axis=1)
-        W = prodY[:, None] // Y
-        s = W.sum(axis=1)
-        m_hyp = _shifts_from_ratio((W * X).sum(axis=1), s, tie)
+        W, s = _inverse_y_weights(Y.T)
+        m_hyp = _shifts_from_ratio(sum(w * x for w, x in zip(W, X.T)), s, tie)
         coeffs = _expand_forms(X, Y)
         h_com = _shift_heights(coeffs, m_com)
         h_hyp = _shift_heights(coeffs, m_hyp)
@@ -490,13 +459,20 @@ def read_db(path):
                 continue
             try:
                 obj = json.loads(line)
+                com, hyp, coeffs = obj["com"], obj["hyp"], obj["coeffs"]
+                if not all(type(v) is list and len(v) == 2 for v in (com, hyp)):
+                    raise ValueError("com and hyp must be two-element lists")
+                # join raises TypeError on a non-string, int() on a stray "-"
+                if not (type(coeffs) is list
+                        and "".join(coeffs).replace("-", "").isdigit()):
+                    raise ValueError("coefficients must be decimal strings")
                 rec = NGonRecord(
                     roots=tuple((int(x), int(y)) for x, y in obj["roots"]),
-                    coeffs=tuple(int(c) for c in obj["coeffs"]),
-                    com=(float(obj["com"][0]), float(obj["com"][1])),
-                    hyp=(float(obj["hyp"][0]), float(obj["hyp"][1])),
+                    coeffs=tuple(map(int, coeffs)),
+                    com=(float(com[0]), float(com[1])),
+                    hyp=(float(hyp[0]), float(hyp[1])),
                 )
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed record on line {lineno}: {exc}")
             out.append(rec)
     return out

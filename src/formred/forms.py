@@ -148,7 +148,7 @@ def from_upper_roots(roots) -> BinaryForm:
     """
     if not roots:
         raise ValueError("need at least one root")
-    coeffs = [1]
+    factors = []
     for z in roots:
         t, u = z.t, z.u
         if t != int(t) or u != int(u):
@@ -156,8 +156,21 @@ def from_upper_roots(roots) -> BinaryForm:
         if u < 1:
             raise ValueError(f"root {z} has imaginary part below 1")
         t, u = int(t), int(u)
-        coeffs = _conv(coeffs, [1, -2 * t, t * t + u * u])
-    return BinaryForm(tuple(coeffs))
+        factors.append((-2 * t, t * t + u * u))
+    return BinaryForm(tuple(_quadratic_product(factors)))
+
+
+def _quadratic_product(factors) -> list:
+    """Coefficients (descending x-power) of prod (x^2 + A*x*y + B*y^2) over
+    the (A, B) pairs.  A and B are numbers, or equal-length numpy columns
+    (one row per form); the leading coefficient stays the number 1."""
+    b = [1]
+    for A, B in factors:
+        b += [0, 0]
+        for j in range(len(b) - 1, 1, -1):
+            b[j] = b[j] + A * b[j - 1] + B * b[j - 2]
+        b[1] = b[1] + A  # b[0] is 1
+    return b
 
 
 def transform(f: BinaryForm, M: UnimodularMatrix) -> BinaryForm:
@@ -184,16 +197,22 @@ def transform(f: BinaryForm, M: UnimodularMatrix) -> BinaryForm:
 
 
 def shift(f: BinaryForm, m: int) -> BinaryForm:
-    """f(x + m*y, y): the unimodular translation, via an in-place Taylor shift."""
+    """f(x + m*y, y): the unimodular translation, via a Taylor shift."""
     m = int(m)
     if m == 0:
         return f
-    n = f.degree
-    b = list(f.coeffs)
+    return BinaryForm(tuple(_taylor_shift(list(f.coeffs), m)))
+
+
+def _taylor_shift(b: list, m) -> list:
+    """Coefficients (descending x-power) of f(x + m*y, y), in place over the
+    list b of f's coefficients: numbers, or equal-length numpy columns (one
+    row per form) with m a number or a column of per-row shifts."""
+    n = len(b) - 1
     for k in range(n):
         for j in range(1, n - k + 1):
-            b[j] += m * b[j - 1]
-    return BinaryForm(tuple(b))
+            b[j] = b[j] + m * b[j - 1]
+    return b
 
 
 def _horner2(coeffs: Sequence[int], z: complex):

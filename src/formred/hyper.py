@@ -4,6 +4,7 @@ Points are t + iu with u > 0.  The centroid of a root set is computed from
 the closed forms (a (1/y)-weighted mean in each of t and |z|^2); exact
 rational arithmetic is used whenever the inputs are exact, so lattice-point
 databases get exact t-coordinates and only the final square root is a float.
+Its exact weights prod_{k!=i} y_k have one kernel, shared with dbgen's blocks.
 """
 
 from __future__ import annotations
@@ -110,13 +111,17 @@ def dist_h(z: UhpPoint, w: UhpPoint) -> float:
     return math.acosh(max(1.0, arg))
 
 
-def _inverse_y_weights(ys: Sequence, exact: bool):
-    """Unnormalized (1/y) weights w_i and their sum: prod_{k!=i} y_k in exact
-    arithmetic, or 1/y_i in floats."""
-    if exact:
-        w = [math.prod(ys[:i]) * math.prod(ys[i + 1:]) for i in range(len(ys))]
-    else:
-        w = [1.0 / float(v) for v in ys]
+def _inverse_y_weights(ys: Sequence):
+    """Unnormalized (1/y) weights w_i = prod_{k!=i} y_k and their sum, by
+    prefix and suffix products without division, so the same code serves
+    ints, Fractions and numpy columns (one row per point set)."""
+    w, acc = [], 1
+    for y in ys:
+        w.append(acc)
+        acc = acc * y
+    acc = 1
+    for i in reversed(range(len(w))):
+        w[i], acc = w[i] * acc, acc * ys[i]
     return w, sum(w)
 
 
@@ -138,8 +143,10 @@ def psi(x: Sequence, y: Sequence):
         raise ValueError("psi of empty vectors")
     if any(v <= 0 for v in y):
         raise ValueError("weights y must be positive")
-    exact = all(_exact(v) for v in x) and all(_exact(v) for v in y)
-    return _weighted_mean(*_inverse_y_weights(y, exact), x)
+    if all(_exact(v) for v in x) and all(_exact(v) for v in y):
+        return _weighted_mean(*_inverse_y_weights(y), x)
+    w = [1.0 / float(v) for v in y]
+    return _weighted_mean(w, sum(w), x)
 
 
 def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
@@ -165,16 +172,21 @@ def hyperbolic_centroid(points: Sequence[UhpPoint]) -> CentroidResult:
     xs = [p.t for p in points]
     ys = [p.u for p in points]
     exact_y = all(_exact(v) for v in ys)
-    w, s = _inverse_y_weights(ys, exact_y and all(_exact(v) for v in xs))
+    if exact_y:
+        w, s = _inverse_y_weights(ys)
+        weights = tuple(Fraction(wi, 1) / s for wi in w)
+    if not (exact_y and all(_exact(v) for v in xs)):
+        # float coordinates put t on the float route; exact heights keep
+        # exact weights
+        w = [1.0 / float(v) for v in ys]
+        s = sum(w)
+        if not exact_y:
+            weights = tuple(wi / s for wi in w)
     t = _weighted_mean(w, s, xs)
     normsq = _weighted_mean(w, s, [x * x + y * y for x, y in zip(xs, ys)])
     usq = normsq - t * t
     assert usq > 0, "centroid norm defect is positive for interior points"
     u = math.sqrt(float(usq))
-    if exact_y and isinstance(s, float):
-        # float abscissae put t on the float route; the weights stay exact
-        w, s = _inverse_y_weights(ys, True)
-    weights = tuple(Fraction(wi, 1) / s if exact_y else wi / s for wi in w)
 
     from .quad import QuadraticForm  # deferred: quad imports hyper
 

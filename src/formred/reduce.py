@@ -212,14 +212,6 @@ def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
         stage1 = reduce_julia(f, roots=roots)
     stage2 = shift_descent(stage1.output, patience)
     stage3 = scale_search(stage2.output, bound)
-    matrix = stage1.matrix @ stage2.matrix
-    return ReductionReport(
-        input=f,
-        output=stage3.output,
-        matrix=matrix,
-        scale=stage3.scale,
-        method="full",
-        input_height=stage1.input_height,
-        output_height=stage3.output_height,
-        zero_used=stage1.zero_used,
-    )
+    return ReductionReport(f, stage3.output, stage1.matrix @ stage2.matrix,
+                           stage3.scale, "full", stage1.input_height,
+                           stage3.output_height, stage1.zero_used)

@@ -1,0 +1,130 @@
+"""SHA-256 fingerprints of library results, for checking that a refactor
+leaves every result byte-identical.
+
+Run from a checkout, once on each tree to compare:
+
+    PYTHONPATH=src python tests/identity_hashes.py [recipe ...]
+
+Recipes (all by default):
+  compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
+            4/5, 5/5, 10/3, 3/8, 4/7 at 1 and 2 workers, then every
+            max_distance metric/scope/scan_u at r2 = 4, 5, 10, 20 with k=3
+            and r2=7 with k=5 (2 workers); one repr per line.
+  minimize  minimize and reduce_julia of every form of the benchmark's mixed
+            population and all 11 628 r2=4 pentagons: repr of (to_json_dict(),
+            scale, matrix, zero_used), or of (exception type, message).
+  db        the write_db files of generate_records at r2=4 k=5 and r2=3 k=8.
+  cli       stdout, stderr and exit code of the README commands and of
+            reduce/minimize on a few forms that take each stage-1 route.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import formred as fr
+from formred import cli, dbgen
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def compare_lines():
+    for r2, k in ((3, 4), (4, 3), (4, 5), (5, 5), (10, 3), (3, 8), (4, 7)):
+        for tie in dbgen.TIE_NAMES:
+            for workers in (1, 2):
+                cfg = dbgen.LatticeConfig(r2=r2, kgon=k)
+                yield repr(dbgen.compare_stats(cfg, tie, workers=workers))
+    for r2, k in ((4, 3), (5, 3), (10, 3), (20, 3), (7, 5)):
+        for metric in dbgen.MAXDIST_METRICS:
+            for scope in dbgen.MAXDIST_SCOPES:
+                for scan_u in dbgen.MAXDIST_SCAN_US:
+                    cfg = dbgen.LatticeConfig(r2=r2, kgon=k)
+                    yield repr(dbgen.max_distance(cfg, metric, scope, scan_u,
+                                                  workers=2))
+
+
+def minimize_lines():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    forms = [f for cls in workloads.mixed_population(fr).values() for f in cls]
+    for roots in dbgen.enumerate_ngons(dbgen.lattice_points(4), 5):
+        forms.append(fr.from_upper_roots([fr.UhpPoint(x, y) for x, y in roots]))
+    for f in forms:
+        for fn in (fr.minimize, fr.reduce_julia):
+            try:
+                r = fn(f)
+                yield repr((r.to_json_dict(), r.scale, r.matrix, r.zero_used))
+            except Exception as exc:
+                yield repr((type(exc).__name__, str(exc)))
+
+
+def db_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        for r2, k in ((4, 5), (3, 8)):
+            path = os.path.join(tmp, "db.jsonl")
+            dbgen.write_db(dbgen.generate_records(
+                dbgen.LatticeConfig(r2=r2, kgon=k)), path)
+            with open(path, "rb") as fh:
+                yield hashlib.sha256(fh.read()).hexdigest()
+
+
+TRIANGLE = "1,-44,1325,-32280,480964,-5809376,47831060"
+PENTAGON = ",".join(map(str, fr.from_upper_roots(
+    [fr.UhpPoint(x, y) for x, y in ((1, 5), (1, 6), (2, 6), (3, 3), (6, 1))]
+).coeffs))
+CLI_RUNS = [
+    ["compare", "--k", "5", "--r2", "4", "--json"],
+    ["maxdist", "--k", "3", "--r2", "20", "--json"],
+    ["quad", "--enumerate-disc", "23"],
+    ["quad", "--enumerate-disc", "23", "--json"],
+] + [
+    ["reduce", "--coeffs", c, "--method", m, "--json"]
+    for c in (TRIANGLE, PENTAGON, "1,0,1,1", "1,0,-2,0", "1,0,-2",
+              "0,3,2,1,2,-1,-1")
+    for m in ("hyperbolic", "com", "julia")
+] + [
+    ["minimize", "--coeffs", c, "--json"]
+    for c in (TRIANGLE, PENTAGON, "1,0,1,1", "1,0,-2,0", "1,0,-2",
+              "0,3,2,1,2,-1,-1")
+]
+
+
+def cli_lines():
+    # gen prints its --out path, so it writes to a relative one
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            runs = CLI_RUNS + [["gen", "--k", "5", "--r2", "4",
+                                "--out", "pentagons.jsonl"]]
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                yield repr((argv[:1], out.getvalue(), err.getvalue(), code))
+            with open("pentagons.jsonl", "rb") as fh:
+                yield hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(home)
+
+
+RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
+           "db": db_lines, "cli": cli_lines}
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or RECIPES:
+        digest = hashlib.sha256()
+        count = 0
+        for line in RECIPES[name]():
+            digest.update(line.encode() + b"\n")
+            count += 1
+        print(f"{name}: {count} lines, sha256 {digest.hexdigest()}")

@@ -257,6 +257,22 @@ def round_tie(x, tie):
     raise ValueError(tie)
 
 
+def binomial_shift(coeffs_descending, m):
+    """Coefficients of f(x + m y, y) = sum_i c_i (x + m y)^(n-i) y^i, by the
+    binomial theorem."""
+    n = len(coeffs_descending) - 1
+    out = [0] * (n + 1)
+    for i, c in enumerate(coeffs_descending):
+        for j in range(n - i + 1):
+            out[i + j] += c * math.comb(n - i, j) * m ** j
+    return out
+
+
+def inverse_y_weights(ys):
+    """The (1/y) weights prod_{k != i} y_k, one product per weight."""
+    return [math.prod(ys[:i] + ys[i + 1:]) for i in range(len(ys))]
+
+
 def compare_record(roots, tie="up-2dp"):
     """One n-gon of the head-to-head comparison, from the definitions: the
     form prod (x - z_i y)(x - conj(z_i) y), its center-of-mass shift m_com and
@@ -267,19 +283,12 @@ def compare_record(roots, tie="up-2dp"):
     for x, y in roots:
         coeffs = poly_mul(coeffs, [1, -2 * x, x * x + y * y])
     xs = [x for x, _ in roots]
-    ys = [y for _, y in roots]
-    w = [math.prod(ys) // y for y in ys]
+    w = inverse_y_weights([y for _, y in roots])
     m_com = round_tie(Fraction(sum(xs), len(xs)), tie)
     m_hyp = round_tie(Fraction(sum(wi * x for wi, x in zip(w, xs)), sum(w)), tie)
 
     def shifted_height(m):
-        # f(x + m y, y) = sum_i c_i (x + m y)^(n-i) y^i
-        n = len(coeffs) - 1
-        out = [0] * (n + 1)
-        for i, c in enumerate(coeffs):
-            for j in range(n - i + 1):
-                out[i + j] += c * math.comb(n - i, j) * m ** j
-        return max(abs(v) for v in out)
+        return max(abs(v) for v in binomial_shift(coeffs, m))
 
     return m_com, m_hyp, shifted_height(m_com), shifted_height(m_hyp)
 

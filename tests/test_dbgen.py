@@ -1,20 +1,25 @@
+import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from formred import (CompareStats, LatticeConfig, build_record,
-                     compare_stats, enumerate_ngons, from_upper_roots,
-                     gauss_estimate, generate_records, height,
-                     julia_vs_com_report, lattice_points, max_distance,
+                     center_of_mass, centroid_from_factors, compare_stats,
+                     enumerate_ngons, from_upper_roots, gauss_estimate,
+                     generate_records, height, hyperbolic_centroid,
+                     julia_vs_com_report, lattice_points, max_distance, psi,
                      read_db, shift, stats_json_dict, write_db, UhpPoint)
 from formred import dbgen
-from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _expand_forms,
+from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
                            _index_chunks, _int64_safe, _range_tasks,
                            _shift_heights, _shifts_from_ratio)
-from oracles import compare_record, index_chunks_reference
+from formred.hyper import _inverse_y_weights
+from oracles import (compare_record, index_chunks_reference,
+                     inverse_y_weights)
 
 
 def brute_count(r2):
@@ -245,6 +250,84 @@ def test_compare_stats_block_engine_matches_exact_reference():
     assert list(heights) == [h_com, h_hyp] and min(heights) > 2 ** 63
 
 
+def test_weight_kernel_on_blocks(rng):
+    # one-point rows, and (object only) products past 2^63
+    for k, span, dtypes in ((1, 20, (np.int64, object, np.float64)),
+                            (3, 20, (np.int64, object, np.float64)),
+                            (5, 20, (np.int64, object, np.float64)),
+                            (5, 10 ** 6, (object,))):
+        rows = [[int(v) for v in rng.integers(1, span + 1, k)] for _ in range(30)]
+        want = [inverse_y_weights(row) for row in rows]
+        for row, w in zip(rows, want):
+            assert _inverse_y_weights(row) == (w, sum(w))
+        for dtype in dtypes:
+            cols = [np.array(c, dtype=dtype) for c in zip(*rows)]
+            W, s = _inverse_y_weights(cols)
+            assert len(W) == k
+            for i, col in enumerate(W):
+                assert list(np.broadcast_to(col, (len(rows),))) == \
+                    [w[i] for w in want]
+            assert list(np.broadcast_to(s, (len(rows),))) == \
+                [sum(w) for w in want]
+    assert max(sum(w) for w in want) > 2 ** 63
+    assert _inverse_y_weights([7]) == ([1], 1)
+    ys = [Fraction(3, 2), Fraction(5, 4), 2, Fraction(7, 3)]
+    assert _inverse_y_weights(ys) == (inverse_y_weights(ys),
+                                      sum(inverse_y_weights(ys)))
+
+
+def test_weight_kernel_on_fraction_heights():
+    # exact-square discriminants give Fraction heights d_i / 2 = 1, 3, 2, 4
+    res = centroid_from_factors((2, 0, -4, 6), (2, 9, 8, 25))
+    ys = [Fraction(1), Fraction(3), Fraction(2), Fraction(4)]
+    w = inverse_y_weights(ys)
+    assert res.weights == tuple(Fraction(wi) / sum(w) for wi in w)
+    assert res.point.t == Fraction(-1 * 24 - 0 * 8 + 2 * 12 - 3 * 6, 50)
+    assert res.point.t == psi([Fraction(-1), 0, Fraction(2), Fraction(-3)], ys)
+
+
+def test_block_kernels_match_scalar_route(rng):
+    shifts = [-9, -1, 0, 1, 4]
+    for k in (1, 2, 5):
+        sets = [random_roots(rng, k) for _ in range(25)]
+        ms = np.array([shifts[i % len(shifts)] for i in range(len(sets))])
+        forms = [from_upper_roots([UhpPoint(x, y) for x, y in roots])
+                 for roots in sets]
+        for dtype in (np.int64, object):
+            X = np.array([[x for x, _ in roots] for roots in sets], dtype=dtype)
+            Y = np.array([[y for _, y in roots] for roots in sets], dtype=dtype)
+            coeffs = _expand_forms(X, Y)
+            assert coeffs[0] == 1 and len(coeffs) == 2 * k + 1
+            for j, col in enumerate(coeffs[1:], start=1):
+                assert col.dtype == dtype
+                assert list(col) == [f.coeffs[j] for f in forms]
+            for m in (ms, -ms):
+                got = _shift_heights(coeffs, m)
+                assert list(got) == [height(shift(f, int(v)))
+                                     for f, v in zip(forms, m)]
+        com_t, com_u, hyp_t, hyp_u = _centers(X.astype(np.float64),
+                                              Y.astype(np.float64))
+        _, _, _, mean_y = _centers(X.astype(np.float64),
+                                   Y.astype(np.float64), "mean-y")
+        for i, roots in enumerate(sets):
+            pts = [UhpPoint(x, y) for x, y in roots]
+            com = center_of_mass(pts)
+            hyp = hyperbolic_centroid(pts).point
+            ys = [y for _, y in roots]
+            assert (com_t[i], com_u[i]) == (float(com.t), float(com.u))
+            assert hyp_t[i] == float(hyp.t)
+            assert hyp_u[i] == pytest.approx(hyp.u, rel=1e-12)
+            assert mean_y[i] == float(psi(ys, ys))
+
+
+def random_roots(rng, k, span=30):
+    roots = set()
+    while len(roots) < k:
+        roots.add((int(rng.integers(-span, span + 1)),
+                   int(rng.integers(1, span + 1))))
+    return sorted(roots)
+
+
 def test_compare_stats_workers_deterministic():
     cfg = LatticeConfig(r2=4, kgon=3)
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
@@ -304,6 +387,37 @@ def test_db_corrupt_line(tmp_path):
     path.write_text(good + "\n" + "{not json}\n")
     with pytest.raises(ValueError, match="line 2"):
         read_db(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("com", [0.0]),                  # too short: was a bare IndexError
+    ("hyp", [0.0, 1.0, 2.0]),        # too long: was accepted
+    ("com", {"t": 0.0, "u": 1.0}),
+    ("coeffs", ["1", 1.5, "4"]),     # a number: was truncated to 1
+    ("coeffs", ["1", 0, "4"]),
+    ("coeffs", ["1", "1.5", "4"]),
+    ("coeffs", ["1", "+0", "4"]),
+    ("coeffs", ["1", "0-", "4"]),
+    ("coeffs", "144"),
+    ("coeffs", []),
+])
+def test_db_malformed_fields_name_the_line(tmp_path, field, value):
+    good = json.loads(dbgen._record_line(build_record([(0, 2)])))
+    bad = dict(good, **{field: value})
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_db(path)
+    path.write_text(json.dumps(good) + "\n")
+    assert read_db(path) == [build_record([(0, 2)])]
+
+
+def test_db_file_bytes_pinned(tmp_path):
+    # the JSONL bytes are a contract; this pins the r2=4 pentagon database
+    path = tmp_path / "db.jsonl"
+    assert write_db(generate_records(LatticeConfig(r2=4, kgon=5)), path) == 11628
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "ffd1aeb001ba2bdd8431fe9243687e07361cb592818cf2408e61e22bb8e142ad"
 
 
 def test_generate_records_workers_and_order(tmp_path):

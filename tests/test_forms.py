@@ -1,12 +1,15 @@
 import math
 from functools import reduce as fold
 
+import numpy as np
 import pytest
 
 from formred import (BinaryForm, UhpPoint, UnimodularMatrix, content,
                      from_upper_roots, height, primitive, roots_upper, shift,
                      transform)
+from formred.forms import _quadratic_product, _taylor_shift
 from conftest import TRIANGLE_COEFFS, random_form, random_upper_points
+from oracles import binomial_shift, poly_mul
 
 
 def test_content_examples():
@@ -141,3 +144,58 @@ def test_roots_round_trip(rng):
         got = sorted((p.t, p.u) for p in rs.upper)
         for (gx, gy), (x, y) in zip(got, pts):
             assert abs(gx - x) < 1e-8 and abs(gy - y) < 1e-8
+
+
+def _columns(rows, dtype):
+    """The entries of equal-length rows as numpy columns, one per position."""
+    return [np.array(col, dtype=dtype) for col in zip(*rows)]
+
+
+def test_quadratic_product_kernel_on_blocks(rng):
+    # one-root rows, small rows, and (object only) coefficients past 2^63
+    for k, span, dtypes in ((1, 50, (np.int64, object)),
+                            (2, 50, (np.int64, object)),
+                            (5, 50, (np.int64, object)),
+                            (5, 10 ** 6, (object,))):
+        A = [[int(v) for v in rng.integers(-span, span + 1, k)] for _ in range(40)]
+        B = [[int(v) for v in rng.integers(1, span * span + 1, k)] for _ in range(40)]
+        want = [fold(poly_mul, ([1, a, b] for a, b in zip(ra, rb)), [1])
+                for ra, rb in zip(A, B)]
+        for ra, rb, w in zip(A, B, want):
+            assert _quadratic_product(zip(ra, rb)) == w
+        for dtype in dtypes:
+            got = _quadratic_product(zip(_columns(A, dtype), _columns(B, dtype)))
+            assert got[0] == 1 and len(got) == 2 * k + 1
+            for j, col in enumerate(got[1:], start=1):
+                assert col.dtype == dtype
+                assert list(col) == [w[j] for w in want]
+    assert max(abs(c) for w in want for c in w) > 2 ** 63
+
+
+def test_taylor_shift_kernel_on_blocks(rng):
+    shifts = [-12, -3, -1, 0, 0, 1, 2, 7, 30]
+    for n, span, dtypes in ((1, 9, (np.int64, object)),
+                            (4, 9, (np.int64, object)),
+                            (8, 9, (np.int64, object)),
+                            (8, 2 ** 62, (object,))):
+        rows = [[int(v) for v in rng.integers(-span, span, n + 1)]
+                for _ in range(len(shifts) * 4)]
+        ms = shifts * 4
+        want = [binomial_shift(row, m) for row, m in zip(rows, ms)]
+        for row, m, w in zip(rows, ms, want):
+            assert _taylor_shift(list(row), m) == w
+            if any(row):
+                assert list(shift(BinaryForm(tuple(row)), m).coeffs) == w
+        for dtype in dtypes:
+            cols = _columns(rows, dtype)
+            before = [c.copy() for c in cols]
+            got = _taylor_shift(list(cols), np.array(ms, dtype=dtype))
+            for j, col in enumerate(got):
+                assert col.dtype == dtype
+                assert list(col) == [w[j] for w in want]
+            # the kernel rebinds the list's entries; the columns stay as given
+            assert all((c == b).all() for c, b in zip(cols, before))
+            # one shift for every row
+            got = _taylor_shift(list(cols), -3)
+            for j, col in enumerate(got):
+                assert list(col) == [binomial_shift(row, -3)[j] for row in rows]
