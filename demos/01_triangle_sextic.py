@@ -17,7 +17,7 @@ print("triangle sextic:", f)
 print("height:", height(f))
 
 com = center_of_mass(roots)
-cent = hyperbolic_centroid(roots).point
+cent = hyperbolic_centroid(roots)
 print(f"\ncenter of mass     ({float(com.t):.6f}, {float(com.u):.6f})")
 print(f"hyperbolic centroid ({float(cent.t):.6f}, {cent.u:.6f})")
 

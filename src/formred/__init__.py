@@ -13,9 +13,9 @@ from .forms import (BinaryForm, UnimodularMatrix, UpperRootSet, content,
 from .quad import (QuadraticForm, enumerate_reduced, q_discriminant,
                    q_is_positive_definite, q_is_reduced, q_reduce,
                    q_transform, q_zero_map)
-from .hyper import (CentroidResult, UhpPoint, center_of_mass,
-                    centroid_from_factors, dist_h, hyperbolic_centroid,
-                    mobius, nint, psi, reduce_to_fundamental, right_action)
+from .hyper import (UhpPoint, center_of_mass, centroid_from_factors, dist_h,
+                    hyperbolic_centroid, mobius, nint, psi,
+                    reduce_to_fundamental, right_action)
 from .julia import (JuliaResult, JuliaWeights, minimize_theta0, q_of_weights,
                     theta0)
 from .reduce import (ReductionReport, minimize, reduce_com, reduce_hyperbolic,
@@ -28,7 +28,7 @@ from .dbgen import (CompareStats, LatticeConfig, NGonRecord, build_record,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryForm", "CentroidResult", "CompareStats", "ConvergenceError",
+    "BinaryForm", "CompareStats", "ConvergenceError",
     "DomainError", "JuliaResult", "JuliaWeights", "LatticeConfig",
     "NGonRecord", "QuadraticForm", "ReductionReport", "UhpPoint",
     "UnimodularMatrix", "UpperRootSet", "build_record", "center_of_mass",

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> dict:
     config = LatticeConfig(r2=args.r2, kgon=args.k, region=args.region)
     if args.no_store:
-        points = lattice_points(config.r2, config.region, config.r1)
+        points = lattice_points(config.r2, config.region)
         from math import comb
         return {"k": args.k, "r2": args.r2, "region": args.region,
                 "points": len(points), "count": comb(len(points), args.k),

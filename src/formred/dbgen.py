@@ -22,7 +22,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -73,7 +72,6 @@ class LatticeConfig:
     r2: int
     kgon: int
     region: str = "halfdisc-exclude-i"
-    r1: int = 1
     allow_large: bool = False
 
     def __post_init__(self):
@@ -85,8 +83,6 @@ class LatticeConfig:
             raise ValueError("kgon must be at least 1")
         if self.region not in REGIONS:
             raise ValueError(f"unknown region {self.region!r}")
-        if not 0 <= self.r1 < self.r2:
-            raise ValueError("need 0 <= r1 < r2")
 
 
 @dataclass(frozen=True)
@@ -111,14 +107,14 @@ class CompareStats:
             raise ValueError("comparison buckets do not sum to the total")
 
 
-def lattice_points(r2: int, region: str = "halfdisc-exclude-i", r1: int = 1):
-    """Gaussian integers x + iy with y >= 1 and r1^2 < x^2 + y^2 <= r2^2,
+def lattice_points(r2: int, region: str = "halfdisc-exclude-i"):
+    """Gaussian integers x + iy with y >= 1 and 1 < x^2 + y^2 <= r2^2,
     sorted lexicographically.  Region 'positive-re' additionally needs x >= 1."""
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     lo = 1 if region == "positive-re" else -r2
     return [(x, y) for x in range(lo, r2 + 1) for y in range(1, r2 + 1)
-            if r1 * r1 < x * x + y * y <= r2 * r2]
+            if 1 < x * x + y * y <= r2 * r2]
 
 
 def gauss_estimate(r1: float, r2: float) -> float:
@@ -152,7 +148,7 @@ def build_record(roots) -> NGonRecord:
     pts = [UhpPoint(x, y) for x, y in roots]
     form = from_upper_roots(pts)
     com = center_of_mass(pts)
-    hyp = hyperbolic_centroid(pts).point
+    hyp = hyperbolic_centroid(pts)
     return NGonRecord(
         roots=roots,
         coeffs=form.coeffs,
@@ -163,7 +159,7 @@ def build_record(roots) -> NGonRecord:
 
 def generate_records(config: LatticeConfig, workers: int = 1):
     """Stream NGonRecords for the whole database in canonical order."""
-    points = lattice_points(config.r2, config.region, config.r1)
+    points = lattice_points(config.r2, config.region)
     yield from _fan_out(_records_for_range,
                         _range_tasks(points, config.kgon, workers), workers)
 
@@ -309,7 +305,7 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
                                  ("scan_u", scan_u, MAXDIST_SCAN_US)):
         if value not in allowed:
             raise ValueError(f"unknown {name} {value!r}")
-    points = lattice_points(config.r2, config.region, config.r1)
+    points = lattice_points(config.r2, config.region)
     if scope == "positive-re":
         points = [p for p in points if p[0] >= 1]
     k = config.kgon
@@ -405,7 +401,7 @@ def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,
     either way.)"""
     if tie not in TIE_NAMES:
         raise ValueError(f"unknown rounding mode {tie!r}")
-    points = lattice_points(config.r2, config.region, config.r1)
+    points = lattice_points(config.r2, config.region)
     k = config.kgon
     dtype = np.int64 if _int64_safe(config.r2, k) else object
     parts = _fan_out(_compare_range, _range_tasks(points, k, workers, tie, dtype),
@@ -460,14 +456,18 @@ def read_db(path):
             try:
                 obj = json.loads(line)
                 com, hyp, coeffs = obj["com"], obj["hyp"], obj["coeffs"]
+                roots = obj["roots"]
                 if not all(type(v) is list and len(v) == 2 for v in (com, hyp)):
                     raise ValueError("com and hyp must be two-element lists")
+                if not all(type(r) is list and len(r) == 2 and type(r[0]) is int
+                           and type(r[1]) is int for r in roots):
+                    raise ValueError("roots must be two-element lists of integers")
                 # join raises TypeError on a non-string, int() on a stray "-"
                 if not (type(coeffs) is list
                         and "".join(coeffs).replace("-", "").isdigit()):
                     raise ValueError("coefficients must be decimal strings")
                 rec = NGonRecord(
-                    roots=tuple((int(x), int(y)) for x, y in obj["roots"]),
+                    roots=tuple(map(tuple, roots)),
                     coeffs=tuple(map(int, coeffs)),
                     com=(float(com[0]), float(com[1])),
                     hyp=(float(hyp[0]), float(hyp[1])),
@@ -482,10 +482,11 @@ def read_db(path):
 # true-Julia vs center-of-mass shift report
 # ---------------------------------------------------------------------------
 
-def julia_vs_com_report(config: LatticeConfig, tie: str = "away") -> dict:
-    """Fraction of database records whose rounded true-Julia shift differs
-    from the rounded center-of-mass shift.  Deterministic for a fixed config."""
-    points = lattice_points(config.r2, config.region, config.r1)
+def julia_vs_com_report(config: LatticeConfig) -> dict:
+    """Fraction of database records whose true-Julia shift differs from the
+    center-of-mass shift, both rounded half away from zero.  Deterministic
+    for a fixed config."""
+    points = lattice_points(config.r2, config.region)
     total = 0
     differ = 0
     for roots in enumerate_ngons(points, config.kgon):
@@ -493,8 +494,8 @@ def julia_vs_com_report(config: LatticeConfig, tie: str = "away") -> dict:
         f = from_upper_roots(pts)
         rootset = UpperRootSet(upper=pts, real=())
         res = minimize_theta0(f, roots=rootset)
-        m_j = nint(res.zero.t, tie)
-        m_com = nint(Fraction(sum(x for x, _ in roots), len(roots)), tie)
+        m_j = nint(res.zero.t, "away")
+        m_com = nint(center_of_mass(pts).t, "away")
         total += 1
         if m_j != m_com:
             differ += 1
@@ -502,7 +503,7 @@ def julia_vs_com_report(config: LatticeConfig, tie: str = "away") -> dict:
         "k": config.kgon,
         "r2": config.r2,
         "region": config.region,
-        "tie_convention": TIE_NAMES[tie],
+        "tie_convention": TIE_NAMES["away"],
         "total": total,
         "differ": differ,
         "fraction": differ / total if total else 0.0,

@@ -228,12 +228,13 @@ def _horner2(coeffs: Sequence[int], z: complex):
     return p, dp, e * 2.2e-16
 
 
-def _polish_root(coeffs: Sequence[int], z: complex, steps: int = 3):
-    """Newton against the exact integer coefficients, in doubles.
+def _polish_root(coeffs: Sequence[int], z: complex):
+    """At most three Newton steps against the exact integer coefficients,
+    in doubles.
 
     Returns (root, ill) where ill means the evaluation rounding bound keeps
     the forward error above ~1e-13, i.e. doubles cannot certify this root."""
-    for _ in range(steps):
+    for _ in range(3):
         p, dp, _ = _horner2(coeffs, z)
         if dp == 0:
             break

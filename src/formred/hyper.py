@@ -1,10 +1,11 @@
 """Geometry of the upper half-plane.
 
-Points are t + iu with u > 0.  The centroid of a root set is computed from
-the closed forms (a (1/y)-weighted mean in each of t and |z|^2); exact
-rational arithmetic is used whenever the inputs are exact, so lattice-point
-databases get exact t-coordinates and only the final square root is a float.
-Its exact weights prod_{k!=i} y_k have one kernel, shared with dbgen's blocks.
+Points are t + iu with u > 0.  The hyperbolic centroid of a root set is
+returned as such a point, computed from its closed form: psi, the
+(1/y)-weighted mean, of t and of |z|^2.  psi is exact (rational) whenever
+its inputs are, so lattice-point databases get exact t-coordinates and only
+the final square root is a float.  Its exact weights prod_{k!=i} y_k have
+one kernel, shared with dbgen's blocks.
 """
 
 from __future__ import annotations
@@ -39,23 +40,6 @@ class UhpPoint:
             raise ValueError(f"imaginary part must be positive, got {u}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
-
-    def as_complex(self) -> complex:
-        return complex(float(self.t), float(self.u))
-
-
-@dataclass(frozen=True)
-class CentroidResult:
-    """Hyperbolic centroid plus the convex weights and the centroid quadratic."""
-
-    point: UhpPoint
-    weights: tuple
-    quadratic: object  # QuadraticForm
-
-    def __post_init__(self):
-        s = sum(self.weights)
-        if any(w <= 0 for w in self.weights) or abs(float(s) - 1.0) > 1e-12:
-            raise ValueError("centroid weights must be positive and sum to 1")
 
 
 def nint(x, mode: str = "away") -> int:
@@ -125,13 +109,6 @@ def _inverse_y_weights(ys: Sequence):
     return w, sum(w)
 
 
-def _weighted_mean(w, s, xs):
-    """sum_i w_i x_i / s; exact (Fraction) when the weights are."""
-    if isinstance(s, float):
-        return sum(wi * float(xi) for wi, xi in zip(w, xs)) / s
-    return Fraction(sum(wi * xi for wi, xi in zip(w, xs)), 1) / s
-
-
 def psi(x: Sequence, y: Sequence):
     """The (1/y)-weighted mean of x: sum_i (prod_{k!=i} y_k / s_{n-1}) x_i.
 
@@ -144,9 +121,10 @@ def psi(x: Sequence, y: Sequence):
     if any(v <= 0 for v in y):
         raise ValueError("weights y must be positive")
     if all(_exact(v) for v in x) and all(_exact(v) for v in y):
-        return _weighted_mean(*_inverse_y_weights(y), x)
+        w, s = _inverse_y_weights(y)
+        return Fraction(sum(wi * xi for wi, xi in zip(w, x)), 1) / s
     w = [1.0 / float(v) for v in y]
-    return _weighted_mean(w, sum(w), x)
+    return sum(wi * float(xi) for wi, xi in zip(w, x)) / sum(w)
 
 
 def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
@@ -161,41 +139,21 @@ def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
     return UhpPoint(sum(float(v) for v in ts) / n, sum(float(v) for v in us) / n)
 
 
-def hyperbolic_centroid(points: Sequence[UhpPoint]) -> CentroidResult:
+def hyperbolic_centroid(points: Sequence[UhpPoint]) -> UhpPoint:
     """The unique minimizer of sum_j ((t-x_j)^2 + (u-y_j)^2) / (u*y_j).
 
-    Closed form: t = psi(x, y), |C|^2 = psi(|z|^2, y), u^2 = |C|^2 - t^2;
-    the centroid quadratic is the same convex combination of the root
-    quadratics [1, -2x_j, |z_j|^2]."""
+    Closed form: t = psi(x, y), |C|^2 = psi(|z|^2, y), u^2 = |C|^2 - t^2."""
     if not points:
         raise ValueError("centroid of no points")
     xs = [p.t for p in points]
     ys = [p.u for p in points]
-    exact_y = all(_exact(v) for v in ys)
-    if exact_y:
-        w, s = _inverse_y_weights(ys)
-        weights = tuple(Fraction(wi, 1) / s for wi in w)
-    if not (exact_y and all(_exact(v) for v in xs)):
-        # float coordinates put t on the float route; exact heights keep
-        # exact weights
-        w = [1.0 / float(v) for v in ys]
-        s = sum(w)
-        if not exact_y:
-            weights = tuple(wi / s for wi in w)
-    t = _weighted_mean(w, s, xs)
-    normsq = _weighted_mean(w, s, [x * x + y * y for x, y in zip(xs, ys)])
-    usq = normsq - t * t
+    t = psi(xs, ys)
+    usq = psi([x * x + y * y for x, y in zip(xs, ys)], ys) - t * t
     assert usq > 0, "centroid norm defect is positive for interior points"
-    u = math.sqrt(float(usq))
-
-    from .quad import QuadraticForm  # deferred: quad imports hyper
-
-    one = Fraction(1) if _exact(t) else 1.0
-    quadratic = QuadraticForm(one, -2 * t, normsq)
-    return CentroidResult(point=UhpPoint(t, u), weights=weights, quadratic=quadratic)
+    return UhpPoint(t, math.sqrt(float(usq)))
 
 
-def centroid_from_factors(a: Sequence, b: Sequence) -> CentroidResult:
+def centroid_from_factors(a: Sequence, b: Sequence) -> UhpPoint:
     """Centroid of the roots of prod_i (X^2 + a_i*X*Z + b_i*Z^2).
 
     Each factor must be positive definite (4*b_i > a_i^2); its root pair is

@@ -107,9 +107,9 @@ def _objective_data(roots: UpperRootSet):
     return np.array(R), np.array(m)
 
 
-def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
-                          max_iter: int, xi0):
-    """Damped Newton on F(xi) = (n/2) log|disc Q| - sum m_k xi_k, Q = sum e^xi_k R_k.
+def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, xi0):
+    """Damped Newton on F(xi) = (n/2) log|disc Q| - sum m_k xi_k, Q = sum e^xi_k R_k,
+    to a projected gradient below 1e-10 within 10 000 steps.
 
     The all-ones direction is a null direction (scale invariance), so the
     Newton system is solved with a rank-one shift along it; the returned
@@ -144,9 +144,9 @@ def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
         raise DomainError("weighted quadratic degenerate at the starting weights")
     ones = np.ones(K)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(10000):
         gnorm = float(np.max(np.abs(G)))
-        if gnorm < tol:
+        if gnorm < 1e-10:
             return np.asarray(xi, dtype=float), np.asarray(G, dtype=float)
         p, g, sigma = aux
         H = 0.5 * n * (np.diag(p * sigma / g)
@@ -189,7 +189,7 @@ def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, tol: float,
             lam = 10.0 * lam if lam > 0 else 1e-8
         if not moved:
             raise ConvergenceError("theta_0 line search stalled")
-    raise ConvergenceError(f"theta_0 minimization did not reach tol={tol}")
+    raise ConvergenceError("theta_0 minimization did not reach tol=1e-10")
 
 
 def minimize_theta0(f: BinaryForm,
@@ -219,7 +219,7 @@ def minimize_theta0(f: BinaryForm,
     else:
         # start near the centroid quadratic: pair weights proportional to 1/y
         xi0 = [0.0] * r + [math.log(0.5 / float(b.u)) for b in roots.upper]
-        xi, _ = _minimize_log_weights(R, m, n, 1e-10, 10000, xi0)
+        xi, _ = _minimize_log_weights(R, m, n, xi0)
     # normalize prod t^2 prod u^4 = 1, i.e. sum m_k xi_k = 0
     xi = xi - (m @ xi) / m.sum()
     p = np.exp(xi)

@@ -83,8 +83,8 @@ def reduce_hyperbolic(f: BinaryForm,
     if rootset.real:
         raise DomainError("hyperbolic reduction requires a form with no real roots")
     cent = hyperbolic_centroid(list(rootset.upper))
-    _, M = reduce_to_fundamental(cent.point)
-    return _finish(f, transform(f, M), M, "hyperbolic", cent.point)
+    _, M = reduce_to_fundamental(cent)
+    return _finish(f, transform(f, M), M, "hyperbolic", cent)
 
 
 def reduce_com(f: BinaryForm, tie: str = "away",

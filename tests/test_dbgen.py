@@ -278,12 +278,10 @@ def test_weight_kernel_on_blocks(rng):
 
 def test_weight_kernel_on_fraction_heights():
     # exact-square discriminants give Fraction heights d_i / 2 = 1, 3, 2, 4
-    res = centroid_from_factors((2, 0, -4, 6), (2, 9, 8, 25))
+    cent = centroid_from_factors((2, 0, -4, 6), (2, 9, 8, 25))
     ys = [Fraction(1), Fraction(3), Fraction(2), Fraction(4)]
-    w = inverse_y_weights(ys)
-    assert res.weights == tuple(Fraction(wi) / sum(w) for wi in w)
-    assert res.point.t == Fraction(-1 * 24 - 0 * 8 + 2 * 12 - 3 * 6, 50)
-    assert res.point.t == psi([Fraction(-1), 0, Fraction(2), Fraction(-3)], ys)
+    assert cent.t == Fraction(-1 * 24 - 0 * 8 + 2 * 12 - 3 * 6, 50)
+    assert cent.t == psi([Fraction(-1), 0, Fraction(2), Fraction(-3)], ys)
 
 
 def test_block_kernels_match_scalar_route(rng):
@@ -312,7 +310,7 @@ def test_block_kernels_match_scalar_route(rng):
         for i, roots in enumerate(sets):
             pts = [UhpPoint(x, y) for x, y in roots]
             com = center_of_mass(pts)
-            hyp = hyperbolic_centroid(pts).point
+            hyp = hyperbolic_centroid(pts)
             ys = [y for _, y in roots]
             assert (com_t[i], com_u[i]) == (float(com.t), float(com.u))
             assert hyp_t[i] == float(hyp.t)
@@ -400,6 +398,8 @@ def test_db_corrupt_line(tmp_path):
     ("coeffs", ["1", "0-", "4"]),
     ("coeffs", "144"),
     ("coeffs", []),
+    ("roots", [[0.9, 2.7]]),         # floats
+    ("roots", [["3", 2]]),           # a string
 ])
 def test_db_malformed_fields_name_the_line(tmp_path, field, value):
     good = json.loads(dbgen._record_line(build_record([(0, 2)])))

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from formred import (CentroidResult, UhpPoint,
-                     UnimodularMatrix, center_of_mass, centroid_from_factors,
-                     dist_h, hyperbolic_centroid, mobius, nint, psi,
-                     q_zero_map, reduce_to_fundamental, right_action)
+from formred import (UhpPoint, UnimodularMatrix, center_of_mass,
+                     centroid_from_factors, dist_h, hyperbolic_centroid,
+                     mobius, nint, psi, reduce_to_fundamental, right_action)
 from conftest import random_upper_points
 from oracles import (centroid_minimize, centroid_u2_double_sum, dist_crossratio,
                      random_sl2)
@@ -89,25 +88,24 @@ def test_com_translation_but_not_inversion_equivariance():
 
 def test_centroid_single_point_and_triangle():
     res = hyperbolic_centroid([UhpPoint(3, 2)])
-    assert res.point.t == 3 and abs(res.point.u - 2) < 1e-12
-    assert res.weights == (1,)
+    assert res.t == 3 and abs(res.u - 2) < 1e-12
 
     pts = [UhpPoint(1, 19), UhpPoint(2, 19), UhpPoint(19, 1)]
     res = hyperbolic_centroid(pts)
-    assert res.point.t == Fraction(52, 3)
-    assert abs(res.point.u - math.sqrt(3887 / 63)) < 1e-12
+    assert res.t == Fraction(52, 3)
+    assert abs(res.u - math.sqrt(3887 / 63)) < 1e-12
     t_o, u_o = centroid_minimize([(1, 19), (2, 19), (19, 1)])
-    assert abs(float(res.point.t) - t_o) < 1e-6
-    assert abs(res.point.u - u_o) < 1e-6
+    assert abs(float(res.t) - t_o) < 1e-6
+    assert abs(res.u - u_o) < 1e-6
 
 
 def test_centroid_two_point_symmetry():
     res = hyperbolic_centroid([UhpPoint(0, 1), UhpPoint(4, 1)])
-    assert res.point.t == 2
-    assert abs(res.point.u - math.sqrt(5)) < 1e-12
-    assert res.point.u >= 1
+    assert res.t == 2
+    assert abs(res.u - math.sqrt(5)) < 1e-12
+    assert res.u >= 1
     t_o, u_o = centroid_minimize([(0, 1), (4, 1)])
-    assert abs(2 - t_o) < 1e-6 and abs(res.point.u - u_o) < 1e-6
+    assert abs(2 - t_o) < 1e-6 and abs(res.u - u_o) < 1e-6
 
 
 def test_centroid_result_invariants(rng):
@@ -115,14 +113,29 @@ def test_centroid_result_invariants(rng):
         n = int(rng.integers(1, 7))
         pts = [UhpPoint(x, y) for x, y in random_upper_points(rng, n)]
         res = hyperbolic_centroid(pts)
-        assert isinstance(res, CentroidResult)
-        assert abs(float(sum(res.weights)) - 1) < 1e-12
-        assert all(w > 0 for w in res.weights)
+        assert isinstance(res, UhpPoint)
         xs = [float(p.t) for p in pts]
-        assert min(xs) - 1e-9 <= float(res.point.t) <= max(xs) + 1e-9
-        z = q_zero_map(res.quadratic)
-        assert abs(float(z.t) - float(res.point.t)) < 1e-9
-        assert abs(float(z.u) - float(res.point.u)) < 1e-9
+        assert min(xs) - 1e-9 <= float(res.t) <= max(xs) + 1e-9
+        assert res.u > 0
+
+
+def test_centroid_is_psi_closed_form(rng):
+    # t = psi(x, y), u = sqrt(psi(|z|^2, y) - t^2), bit for bit on both the
+    # exact and the float route of psi
+    for _ in range(200):
+        roots = random_upper_points(rng, int(rng.integers(1, 7)))
+        for pts in (roots,
+                    [(Fraction(x, 3), Fraction(y, 2)) for x, y in roots],
+                    [(x + 0.25, y * 0.75) for x, y in roots],
+                    [(x + 0.1, y) for x, y in roots],    # float x, exact y
+                    [(x, y + 0.5) for x, y in roots]):   # exact x, float y
+            xs = [x for x, _ in pts]
+            ys = [y for _, y in pts]
+            t = psi(xs, ys)
+            u = math.sqrt(float(psi([x * x + y * y for x, y in pts], ys) - t * t))
+            got = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
+            assert got == UhpPoint(t, u)
+            assert type(got.t) is type(t) and type(got.u) is float
 
 
 def test_centroid_matches_objective_minimizer(rng):
@@ -131,8 +144,8 @@ def test_centroid_matches_objective_minimizer(rng):
         pts = random_upper_points(rng, n)
         res = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
         t_o, u_o = centroid_minimize(pts)
-        assert abs(float(res.point.t) - t_o) < 1e-6
-        assert abs(float(res.point.u) - u_o) < 1e-6
+        assert abs(float(res.t) - t_o) < 1e-6
+        assert abs(float(res.u) - u_o) < 1e-6
 
 
 def test_centroid_isometry_equivariance(rng):
@@ -141,24 +154,24 @@ def test_centroid_isometry_equivariance(rng):
         pts = [UhpPoint(x, y) for x, y in random_upper_points(rng, n)]
         M = UnimodularMatrix(*random_sl2(rng))
         moved = [mobius(M, p) for p in pts]
-        lhs = hyperbolic_centroid(moved).point
-        rhs = mobius(M, hyperbolic_centroid(pts).point)
+        lhs = hyperbolic_centroid(moved)
+        rhs = mobius(M, hyperbolic_centroid(pts))
         assert abs(float(lhs.t) - float(rhs.t)) < 1e-8
         assert abs(float(lhs.u) - float(rhs.u)) < 1e-8
 
 
 def test_centroid_from_factors_examples():
     res = centroid_from_factors([0], [1])
-    assert res.point.t == 0 and abs(res.point.u - 1) < 1e-12
+    assert res.t == 0 and abs(res.u - 1) < 1e-12
 
     res = centroid_from_factors([-2, -4, -38], [362, 365, 362])
-    assert res.point.t == Fraction(52, 3)
-    assert abs(res.point.u - math.sqrt(3887 / 63)) < 1e-12
+    assert res.t == Fraction(52, 3)
+    assert abs(res.u - math.sqrt(3887 / 63)) < 1e-12
 
     res = centroid_from_factors([0, 0], [1, 4])
-    assert res.point.t == 0
+    assert res.t == 0
     t_o, u_o = centroid_minimize([(0, 1), (0, 2)])
-    assert abs(res.point.u - u_o) < 1e-6
+    assert abs(res.u - u_o) < 1e-6
 
     from formred import DomainError
     with pytest.raises(DomainError):
@@ -173,11 +186,11 @@ def test_centroid_closed_forms_agree(rng):
         a = [-2 * x for x, _ in pts]
         b = [x * x + y * y for x, y in pts]
         res = centroid_from_factors(a, b)
-        assert math.isclose(float(res.point.u) ** 2,
+        assert math.isclose(float(res.u) ** 2,
                             centroid_u2_double_sum(a, b), rel_tol=1e-9)
         ref = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
-        assert res.point.t == ref.point.t
-        rel = abs(res.point.u - ref.point.u) / ref.point.u
+        assert res.t == ref.t
+        rel = abs(res.u - ref.u) / ref.u
         assert rel < 1e-10
 
 
