@@ -72,13 +72,12 @@ class LatticeConfig:
     r2: int
     kgon: int
     region: str = "halfdisc-exclude-i"
-    allow_large: bool = False
 
     def __post_init__(self):
         if self.r2 < 2:
             raise ValueError("r2 must be at least 2")
-        if self.r2 > 64 and not self.allow_large:
-            raise ValueError("r2 > 64 needs allow_large=True (combinatorial blowup)")
+        if self.r2 > 64:
+            raise ValueError("r2 > 64 is not supported (combinatorial blowup)")
         if self.kgon < 1:
             raise ValueError("kgon must be at least 1")
         if self.region not in REGIONS:

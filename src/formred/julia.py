@@ -10,10 +10,12 @@ leading coefficient.  theta_0 is scale-invariant in the weights and has a
 unique minimum up to that scaling; the minimizing quadratic is the Julia
 quadratic and its zero-map point drives the reduction.
 
-The minimizer works in log-weight coordinates, where the objective is smooth
-and the scaling direction is an exact null direction of both gradient and
-Hessian.  A damped Newton iteration (gradient fallback) drives the projected
-gradient below 1e-10.
+The minimum over the weights is a point (Cremona-Stoll 2003).  With the roots
+written x_k + i y_k, the weights p_k = 1 / ((x - x_k)^2 + y^2 + y_k^2) are the
+best ones for the zero z = x + iy, and there log theta_0 is, up to a constant,
+Phi(z) = sum m_k log((x - x_k)^2 + y^2 + y_k^2) - n log y, with m_k = 1 for a
+real root and 2 for a pair.  Its minimizer, found by damped Newton, is the
+Julia zero, and the weights there give the Julia quadratic.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .forms import BinaryForm, UpperRootSet, roots_upper
 from .hyper import UhpPoint
-from .quad import QuadraticForm, q_discriminant, q_zero_map
+from .quad import QuadraticForm, q_discriminant
 
 
 @dataclass(frozen=True)
@@ -90,114 +92,76 @@ def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
     return float(f.coeffs[0]) ** 2 * abs(D) ** (n / 2) / denom
 
 
-def _objective_data(roots: UpperRootSet):
-    """Constant coefficient triples R_k of Q = sum p_k R_k and the log-term
-    multiplicities m_k (1 for a real root, 2 for a conjugate pair)."""
-    R = []
-    m = []
-    for alpha in roots.real:
-        if math.isinf(alpha):
-            raise DomainError("root at infinity: transform the form first")
-        R.append((1.0, -2.0 * alpha, alpha * alpha))
-        m.append(1.0)
-    for beta in roots.upper:
-        x, y = float(beta.t), float(beta.u)
-        R.append((2.0, -4.0 * x, 2.0 * (x * x + y * y)))
-        m.append(2.0)
-    return np.array(R), np.array(m)
+def _root_terms(roots: UpperRootSet):
+    """x_k, y_k^2 and m_k of the terms of Phi, real roots first."""
+    r, s = roots.signature
+    return (np.array([float(v) for v in roots.real]
+                     + [float(b.t) for b in roots.upper]),
+            np.array([0.0] * r + [float(b.u) ** 2 for b in roots.upper]),
+            np.array([1.0] * r + [2.0] * s))
 
 
-def _minimize_log_weights(R: np.ndarray, m: np.ndarray, n: int, xi0):
-    """Damped Newton on F(xi) = (n/2) log|disc Q| - sum m_k xi_k, Q = sum e^xi_k R_k,
-    to a projected gradient below 1e-10 within 10 000 steps.
+def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
+                y: float):
+    """Damped Newton on Phi(x, s), y = e^s, from (x, y) to a hyperbolic
+    gradient (y dPhi/dx, dPhi/ds) below 1e-10; returns the minimizer (x, y).
+    Steps are taken in the frame (dx / y, ds) and follow the negative gradient
+    where the Hessian is not positive definite."""
+    n = m.sum()
 
-    The all-ones direction is a null direction (scale invariance), so the
-    Newton system is solved with a rank-one shift along it; the returned
-    gradient is already the projected gradient.  Internals run in extended
-    precision: 4AC - B^2 cancels catastrophically for nearly degenerate
-    minimizers (tiny zero-map height), and doubles cannot certify a 1e-10
-    gradient there."""
-    K = len(m)
-    Rld = R.astype(np.longdouble)
-    mld = m.astype(np.longdouble)
-    xi = np.array(xi0, dtype=np.longdouble)
-    tau = 4.0 * (np.outer(Rld[:, 0], Rld[:, 2]) + np.outer(Rld[:, 2], Rld[:, 0])) \
-        - 2.0 * np.outer(Rld[:, 1], Rld[:, 1])
+    def evaluate(x, s):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y = np.exp(s)
+            d = x - xk
+            D = d * d + y * y + yk2
+            # columns: the frame gradients (2yd/D, 2y^2/D) of the terms log D_k
+            E = np.array((2 * y * d / D, 2 * y * y / D))
+            phi = m @ np.log(D) - n * s
+            g = E @ m - (0, n)
+            q = E[1] @ m
+            H = np.array(((q, 0), (0, 2 * q))) - (E * m) @ E.T
+        if not (np.isfinite(phi) and np.isfinite(H).all()):
+            phi = math.inf  # overflow: the step is rejected
+        return phi, g, H
 
-    def fg(xi):
-        # overflow in a trial evaluation just means "reject the step"
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.exp(xi)
-            A, B, C = p @ Rld
-            g = 4.0 * A * C - B * B
-            if not (g > 0) or not np.isfinite(float(g)):
-                return None, None, None
-            F = 0.5 * n * np.log(g) - mld @ xi
-            sigma = 4.0 * (Rld[:, 0] * C + A * Rld[:, 2]) - 2.0 * B * Rld[:, 1]
-            G = 0.5 * n * p * sigma / g - mld
-        if not np.all(np.isfinite(G.astype(float))):
-            return None, None, None
-        return F, G, (p, g, sigma)
-
-    F, G, aux = fg(xi)
-    if F is None:
-        raise DomainError("weighted quadratic degenerate at the starting weights")
-    ones = np.ones(K)
-    lam = 0.0
+    s = math.log(y)
+    phi, g, H = evaluate(x, s)
     for _ in range(10000):
-        gnorm = float(np.max(np.abs(G)))
+        gnorm = np.max(np.abs(g))
+        if H[0, 0] > 0 and H[0, 0] * H[1, 1] > H[0, 1] ** 2:
+            step = np.linalg.solve(H, -g)
+        else:
+            step = -g
+        y = math.exp(s)
         if gnorm < 1e-10:
-            return np.asarray(xi, dtype=float), np.asarray(G, dtype=float)
-        p, g, sigma = aux
-        H = 0.5 * n * (np.diag(p * sigma / g)
-                       + np.outer(p, p) * (tau * g - np.outer(sigma, sigma)) / (g * g))
-        Hd = np.asarray(H, dtype=float)
-        Gd = np.asarray(G, dtype=float)
-        # F is not convex far from the minimum: demand an actual descent
-        # direction (raising the damping until we have one) and a strict F
-        # decrease, easing off only for tiny terminal steps where F ties at
-        # rounding level but the gradient still falls hard.
-        moved = False
-        for _ in range(40):
-            M_ = Hd + np.outer(ones, ones) + lam * np.eye(K)
-            try:
-                step = np.linalg.solve(M_, -Gd)
-            except np.linalg.LinAlgError:
-                step = -Gd
-            if not np.all(np.isfinite(step)) or float(step @ Gd) >= 0:
-                lam = 10.0 * lam if lam > 0 else 1e-8
-                continue
-            scale = 1.0
-            for _ in range(40):
-                delta = scale * step.astype(np.longdouble)
-                F2, G2, aux2 = fg(xi + delta)
-                if F2 is not None:
-                    tiny = float(np.max(np.abs(delta))) < 1e-5
-                    ok = F2 < F or (tiny and F2 < F + 1e-12 * (1 + abs(float(F)))
-                                    and float(np.max(np.abs(G2))) < 0.5 * gnorm)
-                    if ok:
-                        # recenter along the null direction; F, G and the H
-                        # building blocks are all invariant under the shift
-                        xi = (xi + delta) - (xi + delta).mean()
-                        F, G, aux = F2, G2, aux2
-                        moved = True
-                        break
-                scale *= 0.5
-            if moved:
-                lam = lam / 4.0 if lam > 1e-12 else 0.0
+            # the test bounds the error only up to the Hessian's conditioning;
+            # one more step from here lands at rounding level
+            trial = evaluate(x + y * step[0], s + step[1])
+            if np.max(np.abs(trial[1])) <= gnorm:
+                x, s = x + y * step[0], s + step[1]
+            return x, math.exp(s)
+        for _ in range(60):
+            trial = evaluate(x + y * step[0], s + step[1])
+            # near the minimum Phi ties at rounding level: a step that keeps
+            # it within rounding and halves the gradient is taken too
+            if trial[0] < phi or (
+                    trial[0] < phi + 1e-12 * (1 + abs(phi))
+                    and np.max(np.abs(trial[1])) < 0.5 * gnorm):
+                x, s = x + y * step[0], s + step[1]
+                phi, g, H = trial
                 break
-            lam = 10.0 * lam if lam > 0 else 1e-8
-        if not moved:
+            step = step / 2
+        else:
             raise ConvergenceError("theta_0 line search stalled")
     raise ConvergenceError("theta_0 minimization did not reach tol=1e-10")
 
 
 def minimize_theta0(f: BinaryForm,
                     roots: UpperRootSet | None = None) -> JuliaResult:
-    """Minimize theta_0 over the weights, to a projected gradient below
-    1e-10; returns the Julia quadratic, the Julia invariant, the normalized
-    weights and the Julia zero point.  `roots` is roots_upper(f) when the
-    caller already has it.
+    """Minimize theta_0 over the weights by minimizing Phi over the zero;
+    returns the Julia quadratic, the Julia invariant, the normalized weights
+    and the Julia zero point.  `roots` is roots_upper(f) when the caller
+    already has it.
 
     Requires the leading coefficient nonzero and either a non-real root or
     at least three distinct real roots (else no positive definite minimum).
@@ -211,26 +175,22 @@ def minimize_theta0(f: BinaryForm,
         raise DomainError(
             f"signature ({r}, {s}) admits no positive definite minimizer"
         )
-    R, m = _objective_data(roots)
-    n = f.degree
-    if r + s == 1:
-        # single weight: theta_0 is constant by scale invariance
-        xi = np.zeros(1)
-    else:
-        # start near the centroid quadratic: pair weights proportional to 1/y
-        xi0 = [0.0] * r + [math.log(0.5 / float(b.u)) for b in roots.upper]
-        xi, _ = _minimize_log_weights(R, m, n, xi0)
-    # normalize prod t^2 prod u^4 = 1, i.e. sum m_k xi_k = 0
-    xi = xi - (m @ xi) / m.sum()
-    p = np.exp(xi)
-    weights = JuliaWeights(
-        t=tuple(math.sqrt(v) for v in p[:r]),
-        u=tuple(math.sqrt(v) for v in p[r:]),
-    )
+    xk, yk2, m = _root_terms(roots)
+    # start at the zero of the quadratic with real weights 1 and pair weights
+    # proportional to 1/y (the centroid quadratic for a totally complex form)
+    w = np.array([1.0] * r + [1.0 / float(b.u) for b in roots.upper])
+    x = (w @ xk) / w.sum()
+    x, y = _julia_zero(xk, yk2, m, x,
+                       math.sqrt(w @ ((xk - x) ** 2 + yk2) / w.sum()))
+    # the weights sqrt(p_k) there, normalized to sum m_k log p_k = 0
+    log_d = np.log((x - xk) ** 2 + y * y + yk2)
+    root_p = np.exp(((m @ log_d) / m.sum() - log_d) / 2).tolist()
+    weights = JuliaWeights(t=tuple(root_p[:r]), u=tuple(root_p[r:]))
+    # the zero is the iterate: Q's zero map would cancel digits in 4AC - B^2
     Q = q_of_weights(roots, weights)
     return JuliaResult(
         quadratic=Q,
         theta=theta0(f, roots, weights),
         weights=weights,
-        zero=q_zero_map(Q),
+        zero=UhpPoint(float(x), float(y)),
     )

@@ -3,7 +3,10 @@ leaves every result byte-identical.
 
 Run from a checkout, once on each tree to compare:
 
-    PYTHONPATH=src python tests/identity_hashes.py [recipe ...]
+    PYTHONPATH=src python tests/identity_hashes.py [--lines] [recipe ...]
+
+`--lines` prints each recipe's lines, prefixed by the recipe name, instead of
+their digest, so that two trees can be compared line by line with `diff`.
 
 Recipes (all by default):
   compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
@@ -121,7 +124,15 @@ RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
 
 
 if __name__ == "__main__":
-    for name in sys.argv[1:] or RECIPES:
+    args = sys.argv[1:]
+    if "--lines" in args:
+        # one line per result instead of a digest, to diff two trees
+        args.remove("--lines")
+        for name in args or RECIPES:
+            for line in RECIPES[name]():
+                print(f"{name}: {line}")
+        sys.exit()
+    for name in args or RECIPES:
         digest = hashlib.sha256()
         count = 0
         for line in RECIPES[name]():

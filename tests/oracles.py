@@ -351,3 +351,22 @@ def _egcd(a, b):
         return (a, 1, 0) if a > 0 else (-a, -1, 0)
     g, x, y = _egcd(b, a % b)
     return g, y, x - (a // b) * y
+
+
+def theta0_log_gradient(real_roots, upper_roots, t, u, degree):
+    """Projected gradient of log theta_0 in the log-weights xi_k = log p_k
+    (p = t_i^2 for a real root, u_j^2 for a conjugate pair), straight from the
+    definition theta_0 = c_0^2 |disc Q|^(n/2) / (prod t_i^2 prod u_j^4) with
+    Q = sum t_i^2 (x - a_i y)^2 + sum 2 u_j^2 (x - b_j y)(x - conj(b_j) y),
+    in exact rational arithmetic on the given float roots and weights."""
+    rows = [(1, -2 * Fraction(a), Fraction(a) ** 2) for a in real_roots]
+    rows += [(2, -4 * Fraction(x), 2 * (Fraction(x) ** 2 + Fraction(y) ** 2))
+             for x, y in upper_roots]
+    m = [1] * len(real_roots) + [2] * len(upper_roots)
+    p = [Fraction(v) ** 2 for v in tuple(t) + tuple(u)]
+    A, B, C = (sum(pk * row[i] for pk, row in zip(p, rows)) for i in range(3))
+    disc = 4 * A * C - B * B  # |disc Q|
+    G = [Fraction(degree, 2) * pk * (4 * (al * C + A * ga) - 2 * B * be) / disc
+         - mk for pk, (al, be, ga), mk in zip(p, rows, m)]
+    mean = sum(G) / len(G)  # the scaling direction is null
+    return [float(g - mean) for g in G]

@@ -23,16 +23,16 @@ from formred import (JuliaWeights, LatticeConfig, UhpPoint,
                      enumerate_reduced, from_upper_roots, height,
                      hyperbolic_centroid, julia_vs_com_report, lattice_points,
                      max_distance, minimize, minimize_theta0, mobius,
-                     q_discriminant, q_is_reduced, q_reduce, q_transform,
-                     q_zero_map, reduce_com, reduce_hyperbolic, roots_upper,
-                     shift, shift_descent, theta0, transform)
+                     q_discriminant, q_is_reduced, q_of_weights, q_reduce,
+                     q_transform, q_zero_map, reduce_com, reduce_hyperbolic,
+                     roots_upper, shift, shift_descent, theta0, transform)
 from formred.dbgen import _index_chunks
-from formred.julia import _minimize_log_weights, _objective_data
+from formred.julia import _julia_zero, _root_terms
 from formred.quad import QuadraticForm
 from conftest import PENTAGON_ROOTS, TRIANGLE_COEFFS, TRIANGLE_ROOTS, \
     random_mixed_form, random_upper_points
 from oracles import (centroid_minimize, centroid_u2_double_sum,
-                     julia_zero_grid, random_sl2)
+                     julia_zero_grid, random_sl2, theta0_log_gradient)
 
 # criterion 7 reference (also recorded in README; deterministic for this config)
 JULIA_COM_DIFFER = 2970
@@ -312,15 +312,18 @@ def test_criterion_6_centroid_closed_forms(rng):
 def test_criterion_6_julia_optimizer(rng, triangle):
     # 20-restart uniqueness and projected gradient at the minimizer
     rs = roots_upper(triangle)
-    R, m = _objective_data(rs)
+    xk, yk2, m = _root_terms(rs)
     zeros = []
     worst_grad = 0.0
     for _ in range(20):
-        xi0 = rng.uniform(-2.0, 2.0, len(m))
-        xi, G = _minimize_log_weights(R, m, triangle.degree, xi0)
-        worst_grad = max(worst_grad, float(np.max(np.abs(G))))
-        w = JuliaWeights(t=(), u=tuple(math.exp(v / 2) for v in xi))
-        from formred import q_of_weights
+        x, y = _julia_zero(xk, yk2, m, rng.uniform(-30.0, 30.0),
+                           math.exp(rng.uniform(-3.0, 4.0)))
+        # theta_0's weights at z: u_j^2 = 1 / ((x - x_j)^2 + y^2 + y_j^2)
+        w = JuliaWeights(t=(), u=tuple(1 / np.sqrt((x - xk) ** 2 + y * y
+                                                   + yk2)))
+        G = theta0_log_gradient((), [(b.t, b.u) for b in rs.upper], (), w.u,
+                                triangle.degree)
+        worst_grad = max(worst_grad, max(map(abs, G)))
         zeros.append(q_zero_map(q_of_weights(rs, w)))
     spread = max(max(abs(float(z.t) - float(zeros[0].t)),
                      abs(float(z.u) - float(zeros[0].u))) for z in zeros)

@@ -433,7 +433,6 @@ def test_config_validation():
         LatticeConfig(r2=1, kgon=3)
     with pytest.raises(ValueError):
         LatticeConfig(r2=65, kgon=3)
-    LatticeConfig(r2=65, kgon=3, allow_large=True)
     with pytest.raises(ValueError):
         LatticeConfig(r2=5, kgon=0)
     with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from formred import (BinaryForm, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
-                     from_upper_roots, minimize_theta0, mobius,
+                     from_upper_roots, minimize_theta0, mobius, nint,
                      q_discriminant, q_of_weights, reduce_julia, roots_upper,
                      shift, theta0, transform)
 from conftest import random_upper_points
-from oracles import julia_zero_grid, random_sl2
+from formred.julia import _julia_zero, _root_terms
+from oracles import julia_zero_grid, random_sl2, theta0_log_gradient
 
 TRI_JULIA_ZERO = (10.5663210488, 15.8456762537)  # grid + Nelder-Mead oracle
 
@@ -143,19 +145,46 @@ def test_zero_equivariance_small(rng):
 
 
 def test_restart_stability(rng, pentagon):
-    import numpy as np
-    from formred.julia import _minimize_log_weights, _objective_data
-
     rs = roots_upper(pentagon)
-    R, m = _objective_data(rs)
+    xk, yk2, m = _root_terms(rs)
     zeros = []
     for _ in range(20):
-        xi0 = rng.uniform(-2, 2, len(m))
-        xi, G = _minimize_log_weights(R, m, pentagon.degree, xi0)
-        assert np.max(np.abs(G)) < 1e-10
-        xi = xi - xi.mean()
-        zeros.append(tuple(np.round(xi, 6)))
-    assert len(set(zeros)) == 1  # unique minimum regardless of the start
+        x, y = _julia_zero(xk, yk2, m, rng.uniform(-30, 30),
+                           math.exp(rng.uniform(-3, 4)))
+        p = 1 / ((x - xk) ** 2 + y * y + yk2)  # theta_0's weights at z
+        G = theta0_log_gradient((), [(b.t, b.u) for b in rs.upper], (),
+                                np.sqrt(p), pentagon.degree)
+        assert max(map(abs, G)) < 1e-10
+        zeros.append((x, y))
+    # unique minimum regardless of the start
+    assert np.max(np.abs(np.array(zeros) - zeros[0])) < 1e-6
+
+
+def test_palindromic_zero_on_unit_circle():
+    # f(y, x) = +-f(x, y): the roots are fixed by z -> 1/conj(z), so the
+    # Julia zero is too, and |z| = 1
+    for coeffs in ((3, -5, -5, 3), (3, 5, -5, -3), (1, 2, -7, 2, 1),
+                   (2, 1, 1, 2)):
+        z = minimize_theta0(BinaryForm(coeffs)).zero
+        assert abs(float(z.t) ** 2 + float(z.u) ** 2 - 1) < 1e-11, coeffs
+
+
+def test_zero_fixed_by_form_symmetry():
+    # f(-2y, 3x) = 36 f(x, y): the zero is fixed by z -> -2/(3z), so it is
+    # i sqrt(2/3); stopping at a 1e-10 gradient can leave it 2.9e-9 away
+    z = minimize_theta0(BinaryForm((9, 33, 18, -22, 4))).zero
+    assert abs(float(z.t)) < 1e-12
+    assert abs(float(z.u) - math.sqrt(2 / 3)) < 1e-12
+
+
+def test_symmetric_zero_rounds_as_a_tie():
+    # roots mirrored about Re = -1/2 put the Julia zero on it; the Julia shift
+    # must then round the tie away from zero, as the com shift does
+    pts = tuple(UhpPoint(x, y) for x, y in ((-2, 1), (-2, 2), (1, 1), (1, 2)))
+    res = minimize_theta0(from_upper_roots(pts),
+                          roots=UpperRootSet(upper=pts, real=()))
+    assert res.zero.t == -0.5
+    assert nint(res.zero.t, "away") == -1
 
 
 def test_julia_reduce_identity_when_reduced():
