@@ -3,12 +3,14 @@
 Roots live in the half-disc y >= 1, 1 < x^2 + y^2 <= r2^2 (the region whose
 point counts make the reference n-gon totals exact binomials); each k-subset
 yields a monic totally complex form of degree 2k.  The heavy passes run on
-numpy blocks: the max-distance scan on float64, the head-to-head shift
-comparison on int64 or, where `_int64_safe` says the shifted heights could
-overflow int64, on Python-int (object) blocks, so every height comparison
-stays in exact integer arithmetic at every database size.  Blocks run
-through the kernels single forms use, one numpy column per coefficient or
-point: the root-quadratic product, the Taylor shift and the (1/y) weights.
+numpy blocks: the max-distance scan on float64, the true-Julia report on
+float64 through one batched theta_0 Newton per block (`julia._julia_zeros`),
+the head-to-head shift comparison on int64 or, where `_int64_safe` says the
+shifted heights could overflow int64, on Python-int (object) blocks, so every
+height comparison stays in exact integer arithmetic at every database size.
+Blocks run through the kernels single forms use, one numpy column per
+coefficient or point: the root-quadratic product, the Taylor shift and the
+(1/y) weights.
 The index blocks are built without per-row Python work: each k-subset is a
 short prefix and a tail of j indices, and the tails of a prefix are a suffix
 of one lexicographic table of the j-subsets, which j keeps within one
@@ -29,8 +31,8 @@ import numpy as np
 from .forms import (UpperRootSet, _quadratic_product, _taylor_shift,
                     from_upper_roots)
 from .hyper import (UhpPoint, _inverse_y_weights, _nint_ratio, center_of_mass,
-                    hyperbolic_centroid, nint)
-from .julia import minimize_theta0
+                    hyperbolic_centroid)
+from .julia import _julia_zeros, minimize_theta0
 
 REGIONS = ("halfdisc-exclude-i", "positive-re")
 
@@ -481,23 +483,54 @@ def read_db(path):
 # true-Julia vs center-of-mass shift report
 # ---------------------------------------------------------------------------
 
+# a Julia zero closer than this to a half-integer is a tie: mirror-symmetric
+# root sets put it on one, and the solver's last bit must not decide them
+_JULIA_TIE_BAND = 1e-9
+
+
+def _julia_shifts(t: np.ndarray) -> np.ndarray:
+    """nint(t) half away from zero, with |t - (h + 1/2)| < 1e-9 taken as an
+    exact tie; outside that band sign(t) floor(|t| + 1/2) is exact."""
+    a = np.abs(t)
+    h = np.floor(a)
+    tie = np.abs(a - (h + 0.5)) < _JULIA_TIE_BAND
+    shifts = np.sign(t) * np.where(tie, h + 1, np.floor(a + 0.5))
+    return shifts.astype(np.int64)
+
+
 def julia_vs_com_report(config: LatticeConfig) -> dict:
     """Fraction of database records whose true-Julia shift differs from the
-    center-of-mass shift, both rounded half away from zero.  Deterministic
-    for a fixed config."""
+    center-of-mass shift, both rounded half away from zero.  The com shift
+    is exact.  A Julia zero t with |t - (h + 1/2)| < 1e-9 for an integer h
+    is rounded as the exact tie h + 1/2: mirror-symmetric root sets put it
+    there, and a float zero may land on either side.  Deterministic for a
+    fixed config.
+
+    Per index block the zeros come from one batched Newton
+    (`julia._julia_zeros`) started, as `minimize_theta0` starts, at the zero
+    of the quadratic with pair weights 1/y; a row whose line search stalls
+    is solved again by `minimize_theta0`."""
     points = lattice_points(config.r2, config.region)
-    total = 0
-    differ = 0
-    for roots in enumerate_ngons(points, config.kgon):
-        pts = tuple(UhpPoint(x, y) for x, y in roots)
-        f = from_upper_roots(pts)
-        rootset = UpperRootSet(upper=pts, real=())
-        res = minimize_theta0(f, roots=rootset)
-        m_j = nint(res.zero.t, "away")
-        m_com = nint(center_of_mass(pts).t, "away")
-        total += 1
-        if m_j != m_com:
-            differ += 1
+    k = config.kgon
+    if k > len(points):
+        raise ValueError("k-gon larger than the point set")
+    xs, ys = np.array(points, dtype=np.int64).T
+    total = differ = 0
+    for idx in _index_chunks(len(points), k, 0, len(points)):
+        X, Y = xs[idx], ys[idx]
+        m_com = _nint_ratio(X.sum(axis=1), k, "away")
+        Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
+        w = 1.0 / Yf
+        x0 = (w * Xf).sum(axis=1) / w.sum(axis=1)
+        y0 = np.sqrt((w * ((Xf - x0[:, None]) ** 2 + Yf * Yf)).sum(axis=1)
+                     / w.sum(axis=1))
+        zx, _, stalled = _julia_zeros(Xf, Yf * Yf, 2.0, x0, y0)
+        for i in np.flatnonzero(stalled):
+            pts = tuple(map(UhpPoint, X[i].tolist(), Y[i].tolist()))
+            zx[i] = minimize_theta0(from_upper_roots(pts),
+                                    roots=UpperRootSet(upper=pts, real=())).zero.t
+        total += len(idx)
+        differ += int((_julia_shifts(zx) != m_com).sum())
     return {
         "k": config.kgon,
         "r2": config.r2,

@@ -101,6 +101,17 @@ def _root_terms(roots: UpperRootSet):
             np.array([1.0] * r + [2.0] * s))
 
 
+# Both solvers stop at a hyperbolic gradient below _GRAD_TOL, halve a rejected
+# step at most _HALVINGS times and give up after _MAX_STEPS steps.  A trial
+# point is taken when it lowers Phi or, since near the minimum Phi ties at
+# rounding level, when it raises Phi by at most _PHI_RTOL (1 + |Phi|) and
+# halves the gradient.
+_GRAD_TOL = 1e-10
+_PHI_RTOL = 1e-12
+_HALVINGS = 60
+_MAX_STEPS = 10000
+
+
 def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
                 y: float):
     """Damped Newton on Phi(x, s), y = e^s, from (x, y) to a hyperbolic
@@ -126,26 +137,24 @@ def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
 
     s = math.log(y)
     phi, g, H = evaluate(x, s)
-    for _ in range(10000):
+    for _ in range(_MAX_STEPS):
         gnorm = np.max(np.abs(g))
         if H[0, 0] > 0 and H[0, 0] * H[1, 1] > H[0, 1] ** 2:
             step = np.linalg.solve(H, -g)
         else:
             step = -g
         y = math.exp(s)
-        if gnorm < 1e-10:
+        if gnorm < _GRAD_TOL:
             # the test bounds the error only up to the Hessian's conditioning;
             # one more step from here lands at rounding level
             trial = evaluate(x + y * step[0], s + step[1])
             if np.max(np.abs(trial[1])) <= gnorm:
                 x, s = x + y * step[0], s + step[1]
             return x, math.exp(s)
-        for _ in range(60):
+        for _ in range(_HALVINGS):
             trial = evaluate(x + y * step[0], s + step[1])
-            # near the minimum Phi ties at rounding level: a step that keeps
-            # it within rounding and halves the gradient is taken too
             if trial[0] < phi or (
-                    trial[0] < phi + 1e-12 * (1 + abs(phi))
+                    trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
                     and np.max(np.abs(trial[1])) < 0.5 * gnorm):
                 x, s = x + y * step[0], s + step[1]
                 phi, g, H = trial
@@ -153,7 +162,85 @@ def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
             step = step / 2
         else:
             raise ConvergenceError("theta_0 line search stalled")
-    raise ConvergenceError("theta_0 minimization did not reach tol=1e-10")
+    raise ConvergenceError(
+        f"theta_0 minimization did not reach tol={_GRAD_TOL:g}")
+
+
+def _phi_rows(X, Y2, m, n, x, s):
+    """Phi, its frame gradient (g0, g1) and Hessian (h00, h01, h11) at the
+    points (x, e^s) of the rows, as `_julia_zero`'s evaluate computes them
+    for one row; Phi is inf where any of them is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.exp(s)[:, None]
+        d = x[:, None] - X
+        D = d * d + y * y + Y2
+        e0, e1 = 2 * y * d / D, 2 * y * y / D
+        phi = (m * np.log(D)).sum(axis=1) - n * s
+        g0 = (m * e0).sum(axis=1)
+        q = (m * e1).sum(axis=1)
+        h00 = q - (m * e0 * e0).sum(axis=1)
+        h01 = -(m * e0 * e1).sum(axis=1)
+        h11 = 2 * q - (m * e1 * e1).sum(axis=1)
+    finite = np.isfinite(phi) & np.isfinite(h00) & np.isfinite(h01)
+    phi[~(finite & np.isfinite(h11))] = math.inf
+    return phi, np.array((g0, q - n)), np.array((h00, h01, h11))
+
+
+def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m, x: np.ndarray,
+                 y: np.ndarray):
+    """`_julia_zero` on every row at once: X and Y2 hold the rows' x_k and
+    y_k^2 as (rows, K) float arrays, m the multiplicities (broadcast to
+    them), x and y the start points.  Each row takes the scalar solver's
+    steps, stopping rule and line search; rows leave the iteration when they
+    converge or stall.  Returns the zeros (x, y) and a mask of the rows
+    whose line search stalled or that ran out of steps, where (x, y) is
+    meaningless."""
+    m = np.broadcast_to(m, X.shape)
+    n = m.sum(axis=1)
+    x, s = np.array(x, dtype=np.float64), np.log(y)
+    phi, g, H = _phi_rows(X, Y2, m, n, x, s)
+    stalled = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            break
+        gl, (h00, h01, h11) = g[:, live], H[:, live]
+        gnorm = np.abs(gl).max(axis=0)
+        det = h00 * h11 - h01 * h01
+        newton = (h00 > 0) & (det > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(newton, (np.array((h01 * gl[1] - h11 * gl[0],
+                                               h01 * gl[0] - h00 * gl[1]))
+                                     / det), -gl)
+        y = np.exp(s[live])
+        done = gnorm < _GRAD_TOL
+        # converged rows: one more step unless it raises the gradient
+        rows = live[done]
+        xt, st = x[rows] + y[done] * step[0, done], s[rows] + step[1, done]
+        gt = _phi_rows(X[rows], Y2[rows], m[rows], n[rows], xt, st)[1]
+        better = np.abs(gt).max(axis=0) <= gnorm[done]
+        x[rows[better]], s[rows[better]] = xt[better], st[better]
+        # the others: a line search of at most _HALVINGS halvings
+        rows, y, step, gnorm = (live[~done], y[~done], step[:, ~done],
+                                gnorm[~done])
+        moved = [rows[:0]]
+        for _ in range(_HALVINGS):
+            if not rows.size:
+                break
+            xt, st = x[rows] + y * step[0], s[rows] + step[1]
+            pt, gt, ht = _phi_rows(X[rows], Y2[rows], m[rows], n[rows], xt, st)
+            p0 = phi[rows]
+            ok = (pt < p0) | ((pt < p0 + _PHI_RTOL * (1 + abs(p0)))
+                              & (np.abs(gt).max(axis=0) < 0.5 * gnorm))
+            take = rows[ok]
+            x[take], s[take], phi[take] = xt[ok], st[ok], pt[ok]
+            g[:, take], H[:, take] = gt[:, ok], ht[:, ok]
+            moved.append(take)
+            rows, y, step, gnorm = rows[~ok], y[~ok], step[:, ~ok] / 2, gnorm[~ok]
+        stalled[rows] = True
+        live = np.concatenate(moved)
+    stalled[live] = True
+    return x, np.exp(s), stalled
 
 
 def minimize_theta0(f: BinaryForm,

@@ -19,6 +19,8 @@ Recipes (all by default):
   db        the write_db files of generate_records at r2=4 k=5 and r2=3 k=8.
   cli       stdout, stderr and exit code of the README commands and of
             reduce/minimize on a few forms that take each stage-1 route.
+  julia     julia_vs_com_report dicts at r2/k = 2/2, 3/3, 3/4, 4/3, 4/5,
+            5/4; one repr per line.
 """
 
 import contextlib
@@ -119,8 +121,14 @@ def cli_lines():
             os.chdir(home)
 
 
+def julia_lines():
+    for r2, k in ((2, 2), (3, 3), (3, 4), (4, 3), (4, 5), (5, 4)):
+        yield repr(dbgen.julia_vs_com_report(dbgen.LatticeConfig(r2=r2,
+                                                                 kgon=k)))
+
+
 RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
-           "db": db_lines, "cli": cli_lines}
+           "db": db_lines, "cli": cli_lines, "julia": julia_lines}
 
 
 if __name__ == "__main__":

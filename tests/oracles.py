@@ -257,6 +257,32 @@ def round_tie(x, tie):
     raise ValueError(tie)
 
 
+def julia_report_oracle(r2, k):
+    """(differ, total, ties) of the true-Julia vs center-of-mass report, one
+    n-gon at a time: the scalar `minimize_theta0` zero of the form, snapped
+    to the nearest half-integer when within 1e-9 of it (`ties` counts those)
+    and rounded half away from zero, against the exact center-of-mass
+    shift."""
+    from formred import (UhpPoint, UpperRootSet, from_upper_roots,
+                         lattice_points, minimize_theta0)
+
+    differ = total = ties = 0
+    for roots in itertools.combinations(lattice_points(r2), k):
+        pts = tuple(UhpPoint(x, y) for x, y in roots)
+        t = minimize_theta0(from_upper_roots(pts),
+                            roots=UpperRootSet(upper=pts, real=())).zero.t
+        half = math.floor(abs(t)) + 0.5
+        tie = abs(abs(t) - half) < 1e-9
+        m_julia = round_tie(Fraction(half if tie else abs(t)), "away")
+        if t < 0:
+            m_julia = -m_julia
+        m_com = round_tie(Fraction(sum(x for x, _ in roots), k), "away")
+        differ += m_julia != m_com
+        total += 1
+        ties += tie
+    return differ, total, ties
+
+
 def binomial_shift(coeffs_descending, m):
     """Coefficients of f(x + m y, y) = sum_i c_i (x + m y)^(n-i) y^i, by the
     binomial theorem."""

@@ -11,15 +11,16 @@ from formred import (CompareStats, LatticeConfig, build_record,
                      center_of_mass, centroid_from_factors, compare_stats,
                      enumerate_ngons, from_upper_roots, gauss_estimate,
                      generate_records, height, hyperbolic_centroid,
-                     julia_vs_com_report, lattice_points, max_distance, psi,
-                     read_db, shift, stats_json_dict, write_db, UhpPoint)
+                     julia_vs_com_report, lattice_points, max_distance,
+                     minimize_theta0, psi, read_db, shift, stats_json_dict,
+                     write_db, UhpPoint)
 from formred import dbgen
 from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
                            _index_chunks, _int64_safe, _range_tasks,
                            _shift_heights, _shifts_from_ratio)
 from formred.hyper import _inverse_y_weights
 from oracles import (compare_record, index_chunks_reference,
-                     inverse_y_weights)
+                     inverse_y_weights, julia_report_oracle)
 
 
 def brute_count(r2):
@@ -459,3 +460,39 @@ def test_julia_vs_com_report_deterministic():
     assert rep1 == rep2
     assert rep1["total"] == math.comb(3, 2)
     assert 0 <= rep1["fraction"] <= 1
+
+
+@pytest.mark.parametrize("r2, k, ties", [(3, 4, 8), (4, 3, 0)])
+def test_julia_vs_com_report_matches_oracle(r2, k, ties):
+    # r2=3 k=4 has 8 mirror-symmetric quartics whose Julia zero lies on a
+    # half-integer: the tie band must round them as exact ties
+    differ, total, oracle_ties = julia_report_oracle(r2, k)
+    assert oracle_ties == ties
+    rep = julia_vs_com_report(LatticeConfig(r2=r2, kgon=k))
+    assert (rep["differ"], rep["total"]) == (differ, total)
+    assert rep["fraction"] == differ / total
+
+
+def test_julia_vs_com_report_r2_5_quartics():
+    # 322 of these zeros lie within 1e-9 of a half-integer, the nearest
+    # non-tie 9.0e-5 away; without the tie band the count was 15 321
+    rep = julia_vs_com_report(LatticeConfig(r2=5, kgon=4))
+    assert (rep["differ"], rep["total"]) == (15_304, 46_376)
+
+
+def test_julia_vs_com_report_stalled_rows_use_scalar_solver(monkeypatch):
+    # rows the batched Newton gives up on are solved by minimize_theta0
+    calls = []
+
+    def all_stalled(X, Y2, m, x, y):
+        nan = np.full(len(x), np.nan)
+        return nan, nan, np.ones(len(x), dtype=bool)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize_theta0(*args, **kwargs)
+
+    monkeypatch.setattr(dbgen, "_julia_zeros", all_stalled)
+    monkeypatch.setattr(dbgen, "minimize_theta0", counted)
+    rep = julia_vs_com_report(LatticeConfig(r2=3, kgon=4))
+    assert (rep["differ"], rep["total"], len(calls)) == (26, 210, 210)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from formred import (BinaryForm, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
-                     from_upper_roots, minimize_theta0, mobius, nint,
+                     from_upper_roots, lattice_points, minimize_theta0,
+                     mobius, nint,
                      q_discriminant, q_of_weights, reduce_julia, roots_upper,
                      shift, theta0, transform)
 from conftest import random_upper_points
-from formred.julia import _julia_zero, _root_terms
+from formred.julia import _julia_zero, _julia_zeros, _root_terms
 from oracles import julia_zero_grid, random_sl2, theta0_log_gradient
 
 TRI_JULIA_ZERO = (10.5663210488, 15.8456762537)  # grid + Nelder-Mead oracle
@@ -158,6 +160,37 @@ def test_restart_stability(rng, pentagon):
         zeros.append((x, y))
     # unique minimum regardless of the start
     assert np.max(np.abs(np.array(zeros) - zeros[0])) < 1e-6
+
+
+@pytest.mark.parametrize("r2, k", [(3, 4), (4, 3)])
+def test_batched_zeros_match_scalar(r2, k):
+    # every n-gon of the database, from minimize_theta0's start: the zero of
+    # the quadratic with pair weights 1/y
+    rows = np.array(list(itertools.combinations(lattice_points(r2), k)),
+                    dtype=np.float64)
+    X, Y2 = rows[..., 0], rows[..., 1] ** 2
+    w = 1 / rows[..., 1]
+    x0 = (w * X).sum(axis=1) / w.sum(axis=1)
+    y0 = np.sqrt((w * ((X - x0[:, None]) ** 2 + Y2)).sum(axis=1)
+                 / w.sum(axis=1))
+    x, y, stalled = _julia_zeros(X, Y2, 2.0, x0, y0)
+    assert not stalled.any()
+    m = np.full(k, 2.0)
+    for i in range(len(rows)):
+        zx, zy = _julia_zero(X[i], Y2[i], m, x0[i], y0[i])
+        assert abs(x[i] - zx) < 1e-12 and abs(y[i] - zy) < 1e-12
+
+
+def test_batched_restarts_match_scalar(rng, pentagon):
+    xk, yk2, m = _root_terms(roots_upper(pentagon))
+    x0 = rng.uniform(-30, 30, 20)
+    y0 = np.exp(rng.uniform(-3, 4, 20))
+    x, y, stalled = _julia_zeros(np.tile(xk, (20, 1)), np.tile(yk2, (20, 1)),
+                                 m, x0, y0)
+    assert not stalled.any()
+    for i in range(20):
+        zx, zy = _julia_zero(xk, yk2, m, x0[i], y0[i])
+        assert abs(x[i] - zx) < 1e-12 and abs(y[i] - zy) < 1e-12
 
 
 def test_palindromic_zero_on_unit_circle():
