@@ -8,6 +8,9 @@ float64 through one batched theta_0 Newton per block (`julia._julia_zeros`),
 the head-to-head shift comparison on int64 or, where `_int64_safe` says the
 shifted heights could overflow int64, on Python-int (object) blocks, so every
 height comparison stays in exact integer arithmetic at every database size.
+The database records are built from blocks too, on int64 or object columns:
+exact coefficients, and centers that are each one correctly rounded quotient
+of exact integers, so every record equals `build_record` of its roots.
 Blocks run through the kernels single forms use, one numpy column per
 coefficient or point: the root-quadratic product, the Taylor shift and the
 (1/y) weights.
@@ -159,15 +162,50 @@ def build_record(roots) -> NGonRecord:
 
 
 def generate_records(config: LatticeConfig, workers: int = 1):
-    """Stream NGonRecords for the whole database in canonical order."""
+    """Stream NGonRecords for the whole database in canonical order, built
+    per index block (see `_records_range`); each equals `build_record` of
+    its roots, value and type."""
     points = lattice_points(config.r2, config.region)
-    yield from _fan_out(_records_for_range,
-                        _range_tasks(points, config.kgon, workers), workers)
+    r2, k = config.r2, config.kgon
+    if k > len(points):
+        raise ValueError("k-gon larger than the point set")
+    # int64 where the bounds of _records_range hold
+    dtype = (np.int64 if _int64_safe(r2, k) and k * k * r2 ** (2 * k) < 2 ** 53
+             else object)
+    yield from _fan_out(_records_range,
+                        _range_tasks(points, k, workers, dtype), workers)
 
 
-def _records_for_range(task):
-    points, k, lo, hi = task
-    return map(build_record, enumerate_ngons(points, k, (lo, hi)))
+def _records_range(task):
+    """Per index block, its NGonRecords: coefficients from `_expand_forms`,
+    com = (sum x / k, sum y / k) and, from the exact (1/y) weights w_i
+    (s = sum w_i, T = sum w_i x_i, S2 = sum w_i |z_i|^2), the fractions of
+    `hyperbolic_centroid`: hyp = (T / s, sqrt((S2 s - T^2) / s^2)).
+
+    Each center is one division of exact integers, hence correctly rounded,
+    as float(Fraction) is: Python int / int on object blocks, float64
+    division on int64 ones, where every operand is below 2^53.  The
+    coefficients fit int64 by `_int64_safe` (see `_shift_heights`), and
+    with |x_i|, y_i, |z_i| <= r2, w_i <= r2^(k-1) bounds S2 s, T^2 and s^2
+    by k^2 r2^(2k), which `generate_records` keeps below 2^53."""
+    points, k, dtype, lo, hi = task
+    xs, ys = np.array(points, dtype=dtype).T
+    for idx in _index_chunks(len(points), k, lo, hi):
+        X, Y = xs[idx], ys[idx]
+        W, s = _inverse_y_weights(Y.T)
+        T = sum(w * x for w, x in zip(W, X.T))
+        S2 = sum(w * (x * x + y * y) for w, x, y in zip(W, X.T, Y.T))
+        usq = S2 * s - T * T
+        assert (usq > 0).all(), \
+            "centroid norm defect is positive for interior points"
+        hyp_u = np.sqrt(np.asarray(usq / (s * s), dtype=np.float64))
+        coeffs = np.column_stack(_expand_forms(X, Y)[1:]).tolist()
+        yield from map(
+            NGonRecord,
+            [tuple(map(points.__getitem__, row)) for row in idx.tolist()],
+            [(1, *row) for row in coeffs],
+            zip((X.sum(axis=1) / k).tolist(), (Y.sum(axis=1) / k).tolist()),
+            zip((T / s).tolist(), hyp_u.tolist()))
 
 
 def _range_tasks(points, k: int, workers: int, *args):
@@ -429,10 +467,10 @@ def stats_json_dict(config: LatticeConfig, stats: CompareStats,
 # ---------------------------------------------------------------------------
 
 def _record_line(rec: NGonRecord) -> str:
-    roots = json.dumps([[x, y] for x, y in rec.roots], separators=(",", ":"))
-    coeffs = json.dumps([str(c) for c in rec.coeffs], separators=(",", ":"))
-    return '{"roots":%s,"coeffs":%s,"com":[%.6f,%.6f],"hyp":[%.6f,%.6f]}' % (
-        roots, coeffs, rec.com[0], rec.com[1], rec.hyp[0], rec.hyp[1])
+    # the compact JSON of the record; a record has at least one coefficient
+    return ('{"roots":[%s],"coeffs":["%s"],"com":[%.6f,%.6f],"hyp":[%.6f,%.6f]}'
+            % (",".join(map("[%d,%d]".__mod__, rec.roots)),
+               '","'.join(map(str, rec.coeffs)), *rec.com, *rec.hyp))
 
 
 def write_db(records, path) -> int:
@@ -458,22 +496,34 @@ def read_db(path):
                 obj = json.loads(line)
                 com, hyp, coeffs = obj["com"], obj["hyp"], obj["coeffs"]
                 roots = obj["roots"]
-                if not all(type(v) is list and len(v) == 2 for v in (com, hyp)):
+                if not (type(com) is list and type(hyp) is list
+                        and len(com) == len(hyp) == 2):
                     raise ValueError("com and hyp must be two-element lists")
-                if not all(type(r) is list and len(r) == 2 and type(r[0]) is int
-                           and type(r[1]) is int for r in roots):
-                    raise ValueError("roots must be two-element lists of integers")
+                # isfinite raises OverflowError on an integer past the floats
+                centers = com + hyp
+                if not (set(map(type, centers)) <= {int, float}
+                        and all(map(math.isfinite, centers))):
+                    raise ValueError("centers must be finite numbers")
+                if not (type(roots) is list and roots and all(
+                        type(r) is list and len(r) == 2 and type(r[0]) is int
+                        and type(r[1]) is int for r in roots)):
+                    raise ValueError("roots must be a nonempty list of "
+                                     "two-element lists of integers")
                 # join raises TypeError on a non-string, int() on a stray "-"
-                if not (type(coeffs) is list
-                        and "".join(coeffs).replace("-", "").isdigit()):
+                digits = "".join(coeffs).replace("-", "")
+                if not (type(coeffs) is list and digits.isascii()
+                        and digits.isdigit()):
                     raise ValueError("coefficients must be decimal strings")
+                if len(coeffs) != 2 * len(roots) + 1:
+                    raise ValueError("a record of n roots has 2n + 1 "
+                                     "coefficients")
                 rec = NGonRecord(
                     roots=tuple(map(tuple, roots)),
                     coeffs=tuple(map(int, coeffs)),
                     com=(float(com[0]), float(com[1])),
                     hyp=(float(hyp[0]), float(hyp[1])),
                 )
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}: malformed record on line {lineno}: {exc}")
             out.append(rec)
     return out

@@ -6,6 +6,7 @@ implementation paths it verifies.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -317,6 +318,15 @@ def compare_record(roots, tie="up-2dp"):
         return max(abs(v) for v in binomial_shift(coeffs, m))
 
     return m_com, m_hyp, shifted_height(m_com), shifted_height(m_hyp)
+
+
+def record_line(rec):
+    """One JSONL database line, written with json.dumps: compact roots and
+    coefficients (as strings), centers with 6 decimals."""
+    roots = json.dumps([[x, y] for x, y in rec.roots], separators=(",", ":"))
+    coeffs = json.dumps([str(c) for c in rec.coeffs], separators=(",", ":"))
+    return '{"roots":%s,"coeffs":%s,"com":[%.6f,%.6f],"hyp":[%.6f,%.6f]}' % (
+        roots, coeffs, rec.com[0], rec.com[1], rec.hyp[0], rec.hyp[1])
 
 
 def index_chunks_reference(n, k, lo, hi, rows):

@@ -20,7 +20,7 @@ from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
                            _shift_heights, _shifts_from_ratio)
 from formred.hyper import _inverse_y_weights
 from oracles import (compare_record, index_chunks_reference,
-                     inverse_y_weights, julia_report_oracle)
+                     inverse_y_weights, julia_report_oracle, record_line)
 
 
 def brute_count(r2):
@@ -401,6 +401,15 @@ def test_db_corrupt_line(tmp_path):
     ("coeffs", []),
     ("roots", [[0.9, 2.7]]),         # floats
     ("roots", [["3", 2]]),           # a string
+    ("coeffs", ["1", "\u0664", "4"]),  # an Arabic-Indic 4: was read as 4
+    ("coeffs", ["1", "0"]),          # 2 coefficients for 1 root: was accepted
+    ("coeffs", ["1", "0", "4", "0", "0"]),
+    ("roots", []),                   # no roots: was accepted
+    ("com", ["0.5", 2.0]),           # a string: was read as 0.5
+    ("hyp", [True, 2.0]),            # a boolean: was read as 1.0
+    ("com", [float("nan"), 2.0]),    # NaN: was accepted
+    ("hyp", [0.0, float("inf")]),
+    ("com", [10 ** 400, 2.0]),       # no float: was an OverflowError
 ])
 def test_db_malformed_fields_name_the_line(tmp_path, field, value):
     good = json.loads(dbgen._record_line(build_record([(0, 2)])))
@@ -415,10 +424,43 @@ def test_db_malformed_fields_name_the_line(tmp_path, field, value):
 
 def test_db_file_bytes_pinned(tmp_path):
     # the JSONL bytes are a contract; this pins the r2=4 pentagon database
+    # and r2=3 k=8, which generate_records builds on object blocks
     path = tmp_path / "db.jsonl"
-    assert write_db(generate_records(LatticeConfig(r2=4, kgon=5)), path) == 11628
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "ffd1aeb001ba2bdd8431fe9243687e07361cb592818cf2408e61e22bb8e142ad"
+    for r2, k, count, digest in (
+            (4, 5, 11628,
+             "ffd1aeb001ba2bdd8431fe9243687e07361cb592818cf2408e61e22bb8e142ad"),
+            (3, 8, 45,
+             "1a3f7b7f220ed2f27cae9054c9fc024f53d6d7a5ca5f7f078b6fdd133ba0332a")):
+        assert write_db(generate_records(LatticeConfig(r2=r2, kgon=k)),
+                        path) == count
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_record_line_matches_json_oracle():
+    recs = list(generate_records(LatticeConfig(r2=4, kgon=5)))
+    # coefficients past 2^63, and negative ones
+    recs += [build_record([(10 ** 6, 10 ** 6), (-3 * 10 ** 6, 1),
+                           (7, 2 * 10 ** 6)]),
+             build_record([(-5, 1), (40, 3)])]
+    assert max(recs[-2].coeffs) > 2 ** 63 and min(recs[-1].coeffs) < 0
+    for rec in recs:
+        assert dbgen._record_line(rec) == record_line(rec)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r2, k", [(3, 4), (4, 3), (4, 5), (3, 8)])
+def test_generate_records_match_build_record(r2, k, workers):
+    # 3/8 runs on object blocks, the others on int64 ones
+    assert _int64_safe(r2, k) == ((r2, k) != (3, 8))
+    got = list(generate_records(LatticeConfig(r2=r2, kgon=k), workers=workers))
+    want = [build_record(r) for r in enumerate_ngons(lattice_points(r2), k)]
+    assert got == want
+    for rec in got:
+        assert type(rec.roots) is tuple and type(rec.coeffs) is tuple
+        assert all(type(r) is tuple and type(r[0]) is int and type(r[1]) is int
+                   for r in rec.roots)
+        assert all(type(c) is int for c in rec.coeffs)
+        assert all(type(v) is float for v in rec.com + rec.hyp)
 
 
 def test_generate_records_workers_and_order(tmp_path):
