@@ -247,6 +247,73 @@ def _polish_root(coeffs: Sequence[int], z: complex):
     return z, ill
 
 
+def _gauss_horner(coeffs: Sequence[int], a: int, b: int, e: int):
+    """2^(en) p(w / 2^e) and 2^(e(n-1)) p'(w / 2^e) at the Gaussian integer
+    w = a + bi, exactly: Horner with the coefficients scaled by 2^(ej)."""
+    pr = pi = dr = di = 0
+    for j, c in enumerate(coeffs):
+        dr, di = dr * a - di * b + pr, dr * b + di * a + pi
+        pr, pi = pr * a - pi * b + (c << (e * j)), pr * b + pi * a
+    return pr, pi, dr, di
+
+
+# Henrici discs must stay apart, and off the real axis, by this factor
+# times their radii; it absorbs the rounding of the float radii.
+_DISC_SAFETY = 2.0
+
+
+def _roots_exact_refined(coeffs: Sequence[int], start: Sequence[complex]):
+    """Every root refined by Newton steps evaluated exactly over the Gaussian
+    integers, or None when the refinement cannot certify them.
+
+    Each start is put on the grid 2^-e, e = 84 - (binary exponent of the
+    root): about 30 bits below the double's ulp.  At most 8 Newton steps,
+    rounded to the grid, stop at p = 0 or at a zero step.  The disc of radius
+    n |p / p'| about a point holds a root (Henrici, Applied and Computational
+    Complex Analysis I, 1974, section 6.4).  The roots are certified when each
+    radius is below 2^(exponent - 75), about 2^-22 of an ulp (converged), the
+    widened discs are pairwise disjoint (one root each), and no disc of a
+    non-real center reaches the real axis (real/upper split).  Each root is
+    then returned as its grid point correctly rounded to doubles.
+    """
+    n = len(coeffs) - 1
+    discs = []  # (a, b, e, radius in grid units)
+    for z in start:
+        az = abs(z)
+        e = 84 - math.frexp(az)[1]
+        if not math.isfinite(az) or e < 0:
+            return None
+        a, b = round(math.ldexp(z.real, e)), round(math.ldexp(z.imag, e))
+        for step in range(9):
+            pr, pi, dr, di = _gauss_horner(coeffs, a, b, e)
+            dd = dr * dr + di * di
+            if pr == pi == 0 or dd == 0 or step == 8:
+                break
+            # the grid step is P / P' = P conj(P') / |P'|^2, rounded
+            sr = (2 * (pr * dr + pi * di) + dd) // (2 * dd)
+            si = (2 * (pi * dr - pr * di) + dd) // (2 * dd)
+            if sr == si == 0:
+                break
+            a, b = a - sr, b - si
+        pp = pr * pr + pi * pi
+        # convergence: n |P / P'| < 2^9 grid units, i.e. 2^(exponent - 75)
+        if dd == 0 or n * n * pp >= dd << 18:
+            return None
+        discs.append((a, b, e, n * math.sqrt(pp / dd)))
+    for k, (a, b, e, r) in enumerate(discs):
+        if b != 0 and abs(b) <= _DISC_SAFETY * r:
+            return None
+        for a2, b2, e2, r2 in discs[:k]:
+            top = max(e, e2)
+            da = (a << (top - e)) - (a2 << (top - e2))
+            db = (b << (top - e)) - (b2 << (top - e2))
+            reach = _DISC_SAFETY * (math.ldexp(r, top - e)
+                                    + math.ldexp(r2, top - e2))
+            if da * da + db * db <= reach * reach:
+                return None
+    return [complex(a / 2**e, b / 2**e) for a, b, e, _ in discs]
+
+
 def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     """All roots at once by arbitrary-precision Durand-Kerner, started from
     the double-precision roots; None when the iteration does not converge
@@ -273,9 +340,12 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
     Roots with imaginary part above 1e-8*(1 + |root|) are classified as
     upper, |Im| at most that band as real, the rest as lower-half conjugates;
     two roots within that band are repeated.  Leading zero coefficients
-    become real roots at infinity.  Clustered configurations that double
-    precision cannot separate are redone with an arbitrary-precision solver;
-    raises ConvergenceError when conjugates still fail to pair up.
+    become real roots at infinity (repeated when there are two or more).
+    When double precision cannot certify a root (clustered configurations),
+    every root is refined by Newton steps evaluated exactly over the Gaussian
+    integers and certified by Henrici inclusion discs; clusters those discs
+    cannot separate (repeated roots) are redone with an arbitrary-precision
+    solver.  Raises ConvergenceError when conjugates still fail to pair up.
     """
     tol = 1e-8
     coeffs = list(f.coeffs)
@@ -291,7 +361,8 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
     polished = [_polish_root(coeffs, complex(z)) for z in raw]
     roots = [z for z, _ in polished]
     if any(ill for _, ill in polished):
-        redo = _roots_high_precision(coeffs, roots)
+        redo = (_roots_exact_refined(coeffs, roots)
+                or _roots_high_precision(coeffs, roots))
         if redo is not None:
             roots = redo
     upper: list[complex] = []
@@ -310,7 +381,7 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
             f"could not pair conjugate roots of {f}: {len(upper)} upper vs "
             f"{len(lower)} lower at tol={tol}"
         )
-    repeated = False
+    repeated = at_infinity > 1
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) <= tol * (1 + abs(roots[i])):

@@ -7,6 +7,8 @@ import pytest
 from formred import (BinaryForm, UhpPoint, UnimodularMatrix, content,
                      from_upper_roots, height, primitive, roots_upper, shift,
                      transform)
+from formred import forms
+from formred.dbgen import enumerate_ngons, lattice_points
 from formred.forms import _quadratic_product, _taylor_shift
 from conftest import TRIANGLE_COEFFS, random_form, random_upper_points
 from oracles import binomial_shift, poly_mul
@@ -108,6 +110,77 @@ def test_roots_upper_infinity_and_repeats():
     assert len(rs.upper) == 1 and rs.real == (math.inf,)
     rs = roots_upper(BinaryForm((1, 0, 2, 0, 1)))  # (x^2+y^2)^2
     assert rs.repeated and len(rs.upper) == 2
+    # y^2 (x^2+y^2) has a double root at infinity, like its mirror at 0
+    rs = roots_upper(BinaryForm((0, 0, 1, 0, 1)))
+    assert rs.repeated and rs.real == (math.inf, math.inf)
+    rs = roots_upper(BinaryForm((1, 0, 1, 0, 0)))
+    assert rs.repeated and rs.real == (0.0, 0.0)
+
+
+def _spy(monkeypatch, name):
+    """Replace forms.<name> by a wrapper that records each return value."""
+    seen = []
+    real = getattr(forms, name)
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(forms, name, spy)
+    return seen
+
+
+def test_ill_pentagon_roots_certified_exactly(monkeypatch):
+    # every r2=4 pentagon whose double-precision polish flags an ill root
+    # (208 of 11 628 with numpy 2.4) is certified by the exact refinement,
+    # which lands on its Gaussian-integer roots
+    refined = _spy(monkeypatch, "_roots_exact_refined")
+    fallback = _spy(monkeypatch, "_roots_high_precision")
+    escalated = 0
+    for roots in enumerate_ngons(lattice_points(4), 5):
+        f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
+        rs = roots_upper(f)
+        if len(refined) > escalated:
+            escalated += 1
+            exact = sorted([complex(x, y) for x, y in roots]
+                           + [complex(x, -y) for x, y in roots],
+                           key=lambda z: (z.real, z.imag))
+            assert sorted(refined[-1], key=lambda z: (z.real, z.imag)) == exact
+            assert [(p.t, p.u) for p in rs.upper] == [
+                (float(x), float(y)) for x, y in sorted(roots)]
+    assert escalated > 0 and fallback == []
+
+
+# results of the arbitrary-precision path, pinned from before the exact
+# refinement existed
+_UNCERTIFIED = [
+    # a clustered septic: 8 exact Newton steps leave its centers short of
+    # the convergence bound, though their discs are already disjoint
+    (transform(BinaryForm((1, -27, 285, -1399, 2594, 2502, -16020, 12064)),
+               UnimodularMatrix(-2, -3, 5, 7)).coeffs,
+     ((-1.4087403598971722, 0.005141388174807198),
+      (-1.404642409033877, 0.0018820577164366374)),
+     (-1.4285714285714286, -1.4047619047619047, -1.375), False),
+    ((1, 0, 2, 0, 1), ((0.0, 1.0), (0.0, 1.0)), (), True),  # (x^2+y^2)^2
+    # (x+2y)^4: mpmath does not converge either, so the polished doubles
+    # stay and misread the quadruple root until the squarefree split
+    ((1, 8, 24, 32, 16),
+     ((-2.0000000043660817, 0.000302965549501678),),
+     (-2.000122302547157, -1.9998985221505625), False),
+]
+
+
+@pytest.mark.parametrize("coeffs,upper,real,repeated", _UNCERTIFIED,
+                         ids=["clustered-septic", "double-pair",
+                              "quadruple-real"])
+def test_uncertified_roots_fall_back_to_high_precision(
+        coeffs, upper, real, repeated, monkeypatch):
+    refined = _spy(monkeypatch, "_roots_exact_refined")
+    fallback = _spy(monkeypatch, "_roots_high_precision")
+    rs = roots_upper(BinaryForm(coeffs))
+    assert refined == [None] and len(fallback) == 1
+    assert [(p.t, p.u) for p in rs.upper] == list(upper)
+    assert rs.real == real and rs.repeated is repeated
 
 
 def test_transform_round_trip(rng):
