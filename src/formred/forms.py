@@ -140,6 +140,101 @@ def _conv(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
+def _strip(p: list) -> list:
+    """p without its leading zeros ([] for the zero polynomial)."""
+    k = 0
+    while k < len(p) and p[k] == 0:
+        k += 1
+    return p[k:]
+
+
+def _pp(p: list) -> list:
+    """Primitive part of a nonzero polynomial, leading coefficient positive."""
+    g = 0
+    for c in p:
+        g = math.gcd(g, c)
+    if p[0] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _derivative(p: list) -> list:
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _divexact(p: list, q: list) -> list:
+    """p / q for integer polynomials where q divides p in Z[x]."""
+    p = list(p)
+    out = []
+    for i in range(len(p) - len(q) + 1):
+        c, r = divmod(p[i], q[0])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out.append(c)
+        for j in range(1, len(q)):
+            p[i + j] -= c * q[j]
+    if any(p[len(out):]):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def _poly_gcd(p: list, q: list) -> list:
+    """Primitive gcd in Z[x] by the primitive pseudo-remainder sequence; the
+    leading coefficient is positive and q may be the zero polynomial []."""
+    p = _pp(p)
+    q = _pp(q) if q else []
+    while q:
+        # pseudo-remainder of p by q, reduced to its primitive part
+        r = list(p)
+        while len(r) >= len(q):
+            lead = r[0]
+            r = [q[0] * c for c in r]
+            for j in range(len(q)):
+                r[j] -= lead * q[j]
+            r = _strip(r)
+        p, q = q, (_pp(r) if r else [])
+    return p
+
+
+def squarefree(coeffs: Sequence[int]) -> list:
+    """Yun's squarefree decomposition of a nonzero binary form, exactly over
+    the integers (D. Y. Y. Yun, SYMSAC 1976).
+
+    Returns [(factor, multiplicity), ...] by increasing multiplicity: each
+    factor a primitive binary form (coefficient tuple, descending x-power,
+    leading nonzero coefficient positive), squarefree and coprime to the
+    others, with the product of factor^multiplicity equal to f up to its
+    content and sign.  Leading zero coefficients (the factor y) join the
+    factor of their multiplicity."""
+    p = _pp(_strip(list(coeffs)))
+    at_infinity = len(coeffs) - len(p)
+    out = []
+    if len(p) > 1:
+        dp = _derivative(p)
+        a = _poly_gcd(p, dp)
+        b, c = _divexact(p, a), _divexact(dp, a)
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        m = 1
+        while len(b) > 1:
+            a = _poly_gcd(b, _strip(d))
+            if len(a) > 1:
+                out.append([a, m])
+            b, c = _divexact(b, a), _divexact(d, a)
+            d = [x - y for x, y in zip(c, _derivative(b))]
+            m += 1
+    if at_infinity:
+        # y^k: y times the factor of multiplicity k, of degree one higher
+        for item in out:
+            if item[1] == at_infinity:
+                item[0] = [0] + item[0]
+                break
+        else:
+            out.append([[0, 1], at_infinity])
+            out.sort(key=lambda item: item[1])
+    return [(tuple(a), m) for a, m in out]
+
+
 def from_upper_roots(roots) -> BinaryForm:
     """Monic totally complex form with the given conjugate pairs of roots.
 
@@ -334,6 +429,28 @@ def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     return None
 
 
+def _roots(coeffs: Sequence[int], split: bool = True) -> list[complex]:
+    """All roots of the polynomial with these integer coefficients (leading
+    one nonzero): doubles when they certify every root, else the exact
+    refinement; failing that, when the polynomial is not squarefree, the
+    roots of each squarefree factor (found the same way) repeated by its
+    multiplicity, and otherwise the arbitrary-precision solver."""
+    raw = np.roots([float(c) for c in coeffs])
+    polished = [_polish_root(coeffs, complex(z)) for z in raw]
+    roots = [z for z, _ in polished]
+    if not any(ill for _, ill in polished):
+        return roots
+    redo = _roots_exact_refined(coeffs, roots)
+    if redo is not None:
+        return redo
+    if split:
+        parts = squarefree(coeffs)
+        if any(m > 1 for _, m in parts):
+            return [z for factor, m in parts
+                    for z in _roots(factor, split=False) for _ in range(m)]
+    return _roots_high_precision(coeffs, roots) or roots
+
+
 def roots_upper(f: BinaryForm) -> UpperRootSet:
     """Numeric roots of f split by half-plane.
 
@@ -343,28 +460,21 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
     become real roots at infinity (repeated when there are two or more).
     When double precision cannot certify a root (clustered configurations),
     every root is refined by Newton steps evaluated exactly over the Gaussian
-    integers and certified by Henrici inclusion discs; clusters those discs
-    cannot separate (repeated roots) are redone with an arbitrary-precision
-    solver.  Raises ConvergenceError when conjugates still fail to pair up.
+    integers and certified by Henrici inclusion discs.  When those discs
+    cannot separate a cluster and f has repeated roots, each factor of its
+    squarefree decomposition is solved the same way and its roots repeated
+    by the exact multiplicity; only a squarefree f is then redone with an
+    arbitrary-precision solver.  Raises ConvergenceError when conjugates
+    still fail to pair up.
     """
     tol = 1e-8
-    coeffs = list(f.coeffs)
-    at_infinity = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        at_infinity += 1
+    coeffs = _strip(list(f.coeffs))
+    at_infinity = len(f.coeffs) - len(coeffs)
     if len(coeffs) < 2:
         # f = c * y^n: the only root is at infinity, with multiplicity n.
         return UpperRootSet(upper=(), real=(math.inf,) * f.degree,
                             repeated=f.degree > 1)
-    raw = np.roots([float(c) for c in coeffs])
-    polished = [_polish_root(coeffs, complex(z)) for z in raw]
-    roots = [z for z, _ in polished]
-    if any(ill for _, ill in polished):
-        redo = (_roots_exact_refined(coeffs, roots)
-                or _roots_high_precision(coeffs, roots))
-        if redo is not None:
-            roots = redo
+    roots = _roots(coeffs)
     upper: list[complex] = []
     lower: list[complex] = []
     real: list[float] = []

@@ -8,6 +8,14 @@ strip therefore uses m = nint(t).
 `minimize` finds the roots once and picks its first stage from their
 signature: hyperbolic with no real root, center of mass with a non-real
 root, Julia when every root is real.
+
+A form with a real root p/q of multiplicity m >= n/2 is unstable: theta_0
+has no positive definite minimum, and its infimum lies at the cusp p/q
+(Cremona-Stoll 2003).  `minimize` skips the zero-point stage for such a form,
+so shift descent and the scaling scan do the work, and `reduce_julia` moves
+p/q to infinity by the matrix with first column (p, q), completed by
+extended gcd, keeping the result only when the height drops.  Only forms
+with repeated roots are tested, from the exact squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .forms import (BinaryForm, UnimodularMatrix, UpperRootSet, height,
-                    primitive, roots_upper, shift, transform)
+                    primitive, roots_upper, shift, squarefree, transform)
 from .hyper import UhpPoint, center_of_mass, hyperbolic_centroid, nint, \
     reduce_to_fundamental
 from .julia import minimize_theta0
@@ -100,11 +108,33 @@ def reduce_com(f: BinaryForm, tie: str = "away",
     return _finish(f, shift(f, m), UnimodularMatrix.translation(m), "com", com)
 
 
+def _unstable_root(f: BinaryForm, roots: UpperRootSet):
+    """(p, q) when f is unstable: its linear squarefree factor q x - p y
+    has multiplicity m >= n/2 (Cremona-Stoll 2003), so theta_0 has no
+    positive definite minimum and the Julia zero runs off to the cusp p/q;
+    else None.  Only forms with repeated roots can be unstable.  A zero
+    leading coefficient also gives None: the Julia route refuses it first."""
+    if roots.repeated and f.coeffs[0]:
+        for factor, m in squarefree(f.coeffs):
+            if len(factor) == 2 and 2 * m >= f.degree:
+                return -factor[1], factor[0]
+    return None
+
+
 def reduce_julia(f: BinaryForm,
                  roots: UpperRootSet | None = None) -> ReductionReport:
     """True Julia reduction: move the theta_0 minimizer's zero into the
     fundamental domain; `roots` is roots_upper(f) when the caller already
-    has it."""
+    has it.  An unstable form instead has its cusp p/q sent to infinity by
+    the matrix with first column (p, q)."""
+    if f.coeffs[0] != 0:  # else minimize_theta0 raises its DomainError
+        roots = roots_upper(f) if roots is None else roots
+        cusp = _unstable_root(f, roots)
+        if cusp is not None:
+            p, q = cusp
+            d = pow(p, -1, q)  # p d = 1 mod q, q > 0
+            M = UnimodularMatrix(p, (p * d - 1) // q, q, d)
+            return _finish(f, transform(f, M), M, "julia")
     res = minimize_theta0(f, roots=roots)
     _, M = reduce_to_fundamental(res.zero)
     return _finish(f, transform(f, M), M, "julia", res.zero)
@@ -200,11 +230,14 @@ def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
              tie: str = "away") -> ReductionReport:
     """Full pipeline: a zero-point reduction picked from the root signature
     (hyperbolic centroid with no real root, center of mass with a non-real
-    one, Julia otherwise), then shift descent, then the scaling scan."""
+    one, Julia otherwise; none for an unstable form), then shift descent,
+    then the scaling scan."""
     if f.degree < 2:
         raise ValueError("minimize needs degree >= 2")
     roots = roots_upper(f)
-    if not roots.real:
+    if _unstable_root(f, roots) is not None:
+        stage1 = _finish(f, f, UnimodularMatrix.identity(), "full")
+    elif not roots.real:
         stage1 = reduce_hyperbolic(f, roots=roots)
     elif roots.upper:
         stage1 = reduce_com(f, tie=tie, roots=roots)

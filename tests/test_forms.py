@@ -136,10 +136,13 @@ def test_ill_pentagon_roots_certified_exactly(monkeypatch):
     # which lands on its Gaussian-integer roots
     refined = _spy(monkeypatch, "_roots_exact_refined")
     fallback = _spy(monkeypatch, "_roots_high_precision")
+    split = _spy(monkeypatch, "squarefree")
     escalated = 0
     for roots in enumerate_ngons(lattice_points(4), 5):
         f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
         rs = roots_upper(f)
+        # minimize asks for the squarefree factors only of repeated roots
+        assert not rs.repeated
         if len(refined) > escalated:
             escalated += 1
             exact = sorted([complex(x, y) for x, y in roots]
@@ -148,7 +151,7 @@ def test_ill_pentagon_roots_certified_exactly(monkeypatch):
             assert sorted(refined[-1], key=lambda z: (z.real, z.imag)) == exact
             assert [(p.t, p.u) for p in rs.upper] == [
                 (float(x), float(y)) for x, y in sorted(roots)]
-    assert escalated > 0 and fallback == []
+    assert escalated > 0 and fallback == [] and split == []
 
 
 # results of the arbitrary-precision path, pinned from before the exact
@@ -161,18 +164,11 @@ _UNCERTIFIED = [
      ((-1.4087403598971722, 0.005141388174807198),
       (-1.404642409033877, 0.0018820577164366374)),
      (-1.4285714285714286, -1.4047619047619047, -1.375), False),
-    ((1, 0, 2, 0, 1), ((0.0, 1.0), (0.0, 1.0)), (), True),  # (x^2+y^2)^2
-    # (x+2y)^4: mpmath does not converge either, so the polished doubles
-    # stay and misread the quadruple root until the squarefree split
-    ((1, 8, 24, 32, 16),
-     ((-2.0000000043660817, 0.000302965549501678),),
-     (-2.000122302547157, -1.9998985221505625), False),
 ]
 
 
 @pytest.mark.parametrize("coeffs,upper,real,repeated", _UNCERTIFIED,
-                         ids=["clustered-septic", "double-pair",
-                              "quadruple-real"])
+                         ids=["clustered-septic"])
 def test_uncertified_roots_fall_back_to_high_precision(
         coeffs, upper, real, repeated, monkeypatch):
     refined = _spy(monkeypatch, "_roots_exact_refined")
@@ -181,6 +177,77 @@ def test_uncertified_roots_fall_back_to_high_precision(
     assert refined == [None] and len(fallback) == 1
     assert [(p.t, p.u) for p in rs.upper] == list(upper)
     assert rs.real == real and rs.repeated is repeated
+
+
+@pytest.mark.parametrize("coeffs,upper,real", [
+    ((1, 0, 2, 0, 1), ((0, 1), (0, 1)), ()),  # (x^2+y^2)^2
+    ((1, 8, 24, 32, 16), (), (-2.0,) * 4),  # (x+2y)^4
+], ids=["double-pair", "quadruple-real"])
+def test_repeated_roots_split_exactly(coeffs, upper, real, monkeypatch):
+    # the exact refinement cannot certify a multiple root; the squarefree
+    # split then finds the roots of each factor, so no mpmath runs
+    refined = _spy(monkeypatch, "_roots_exact_refined")
+    fallback = _spy(monkeypatch, "_roots_high_precision")
+    rs = roots_upper(BinaryForm(coeffs))
+    assert refined[0] is None and fallback == []
+    assert [(p.t, p.u) for p in rs.upper] == list(upper)
+    assert rs.real == real and rs.repeated is True
+
+
+def _sympy_sqf(coeffs):
+    """The squarefree decomposition of the binary form by sympy.sqf_list,
+    as {multiplicity: primitive factor coefficients}."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    n = len(coeffs) - 1
+    poly = sympy.Poly(sum(c * x ** (n - i) * y ** i
+                          for i, c in enumerate(coeffs)), x, y)
+    out = {}
+    for factor, m in poly.sqf_list()[1]:
+        d = factor.total_degree()
+        row = [int(factor.coeff_monomial(x ** (d - i) * y ** i))
+               for i in range(d + 1)]
+        out[m] = primitive(BinaryForm(tuple(row))).coeffs
+    return out
+
+
+def test_squarefree_matches_sympy(rng):
+    def linear():
+        return [int(rng.integers(1, 30)), int(rng.integers(-30, 31))]
+
+    def quadratic():
+        a, b = int(rng.integers(1, 20)), int(rng.integers(-20, 21))
+        return [a, b, (b * b) // (4 * a) + int(rng.integers(1, 20))]
+
+    cases = []
+    for _ in range(150):  # squared or cubed linear and quadratic factors
+        parts = [(linear() if rng.integers(2) else quadratic(),
+                  int(rng.integers(1, 4))) for _ in range(rng.integers(1, 4))]
+        coeffs = [int(rng.choice([-3, -1, 1, 2, 6]))]
+        for factor, m in parts:
+            for _ in range(m):
+                coeffs = poly_mul(coeffs, factor)
+        cases.append(coeffs)
+    for _ in range(60):  # zero ends: powers of y and x
+        base = random_form(rng, span=20).coeffs
+        cases.append([0] * int(rng.integers(0, 4)) + list(base)
+                     + [0] * int(rng.integers(0, 4)))
+    for _ in range(40):  # 20-digit coefficients, some with a squared factor
+        c = [int(rng.integers(1, 10 ** 10)) * int(rng.integers(1, 10 ** 10))
+             * (1 if rng.integers(2) else -1)
+             for _ in range(int(rng.integers(2, 5)))]
+        cases.append(poly_mul(c, c) if rng.integers(2) else c)
+    for _ in range(60):  # squarefree forms
+        cases.append(list(random_form(rng).coeffs))
+    cases += [[0, 0, 0, 5], [7, 0, 0], [4, 16, 24, 16, 4, 0, 0]]
+    multiple = 0
+    for coeffs in cases:
+        got = forms.squarefree(coeffs)
+        assert dict((m, f) for f, m in got) == _sympy_sqf(coeffs), coeffs
+        assert [m for _, m in got] == sorted({m for _, m in got})
+        multiple += any(m > 1 for _, m in got)
+    assert len(cases) >= 300 and multiple >= 150
 
 
 def test_transform_round_trip(rng):

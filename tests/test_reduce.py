@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,3 +308,42 @@ def test_report_serialization(triangle):
     assert d["matrix"] == [[1, 17], [0, 1]]
     assert d["input"][0] == "1" and d["input"][-1] == "47831060"
     assert d["scale"] == "1"
+
+
+@pytest.mark.parametrize("coeffs,h_minimize,h_julia", [
+    ((1, 8, 24, 32, 16), 1, 1),  # (x+2y)^4
+    ((4, 16, 24, 16, 4, 0, 0), 2, 2),  # 4 x^2 (x+y)^4
+    ((16, 40, 9, -53, -53, -15), 10, 40),  # (x+y)^3 (4x-5y)(4x+3y)
+    ((1, -3, 3, -1), 1, 1),  # (x-y)^3
+], ids=["quadruple-quartic", "quadruple-sextic", "triple-quintic",
+        "triple-cubic"])
+def test_unstable_forms_reduce_with_certificate(coeffs, h_minimize, h_julia):
+    # a real root of multiplicity >= n/2: minimize skips the zero-point
+    # stage, and reduce_julia sends that root to infinity
+    f = BinaryForm(coeffs)
+    for fn, want in ((minimize, h_minimize), (reduce_julia, h_julia)):
+        r = fn(f)
+        assert r.output_height == want and r.zero_used is None
+        assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
+        assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
+def test_repeated_root_population_runs_without_mpmath():
+    # in a fresh interpreter: every repeated-root form of the benchmark's
+    # mixed population reduces from the squarefree split alone
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = """
+import sys
+import formred as fr
+import workloads
+forms = workloads.mixed_population(fr)[workloads.REPEATED]
+assert len(forms) == 36
+for f in forms:
+    fr.minimize(f)
+    fr.reduce_julia(f)
+assert "mpmath" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
