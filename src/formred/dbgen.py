@@ -17,11 +17,37 @@ coefficient or point: the root-quadratic product, the Taylor shift and the
 The index blocks are built without per-row Python work: each k-subset is a
 short prefix and a tail of j indices, and the tails of a prefix are a suffix
 of one lexicographic table of the j-subsets, which j keeps within one
-block's `rows` (see `_index_chunks`).
+block's `rows` (see `_split_chunks`).
+
+The scans use that split.  Each engine computes, once per tail table, the
+tails' sums (sum x, sum y, prod y and the (1/y)-weighted s, F = sum w x and
+G = sum w |z|^2) and, for the comparison, the tails' coefficient columns;
+per block it only joins the prefixes' sums to them (`_join_sums`) and
+multiplies the tail forms by the prefixes' root quadratics.  These are the
+same integers the whole rows give, added in another order, so results are
+bit-identical wherever the arithmetic is exact:
+
+- comparison: every term and partial sum of the prefix x tail product is
+  at most a coefficient of prod (x^2 + |A_i| x + |B_i|) over the row's root
+  quadratics, hence at most (1 + r2)^(2k), the sums s and F at most
+  k r2^k, and the shift intermediates at most (1 + r2)^(4k) (see
+  `_shift_heights`), so int64 is exact where `_int64_safe` holds; object
+  blocks are exact at every size;
+- max distance: on float64, every weight is at most r2^(k-1) and every sum
+  at most k r2^(k+1), so all of them are exact integers while
+  k r2^(k+1) < 2^53, and each center is then one correctly rounded
+  quotient.  Past that bound (no tested or benchmarked size gets there:
+  r2 = 20 needs k >= 11) the sums round, in an order that differs from the
+  whole-row one, so a key may move in its last bits and a near-tie between
+  two n-gons may go the other way.
+
+The comparison expands and shifts only the rows whose two shifts differ:
+equal shifts give equal heights, which count as the same result.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -210,14 +236,24 @@ def _records_range(task):
 
 def _range_tasks(points, k: int, workers: int, *args):
     """Tasks (points, k, *args, lo, hi) splitting the k-subsets by the range
-    [lo, hi) of their first index into 16 * workers parts: combination counts
-    fall off sharply with the first index, so equal index ranges would leave
-    most workers idle.  When k exceeds the point count there is one empty
-    range, so each engine still meets its own k > len(points) behaviour."""
-    n = max(len(points) - k + 1, 0)
-    step = -(-n // min(16 * max(workers, 1), n)) if n else 1
-    ranges = [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
-    return [(points, k, *args, lo, hi) for lo, hi in ranges]
+    [lo, hi) of their first index.  One range when workers <= 1, else
+    2 * workers ranges of about equal row counts (comb(n - 1 - i, k - 1)
+    subsets start at index i): few, since each task builds its own tail
+    table (see `_split_chunks`), but enough that no worker waits long on
+    another.  When k exceeds the point count there is one empty range, so
+    each engine still meets its own k > len(points) behaviour."""
+    n = len(points)
+    last = max(n - k + 1, 0)
+    if workers <= 1 or not last:
+        return [(points, k, *args, 0, last)]
+    rows = list(itertools.accumulate(math.comb(n - 1 - i, k - 1)
+                                     for i in range(last)))
+    parts = 2 * workers
+    # a range ends after the first index at which p / parts of the rows end
+    cuts = {bisect.bisect_left(rows, -(-rows[-1] * p // parts)) + 1
+            for p in range(1, parts)}
+    bounds = sorted(cuts | {0, last})
+    return [(points, k, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fan_out(fn, tasks, workers: int):
@@ -255,56 +291,117 @@ def _subset_table(n: int, j: int) -> np.ndarray:
     return table
 
 
-def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
-    """Index blocks of `rows` k-subsets of range(n) whose first index lies in
-    [lo, hi), in lexicographic order (the last block may be shorter); none
-    when k > n.
+def _tail_table(n: int, k: int, rows: int = _CHUNK_ROWS) -> np.ndarray:
+    """`_subset_table(n, j)` for the tail width j of `_split_chunks`: the
+    largest j <= k - 1 for which every i-subset table with i <= j has at
+    most `rows` rows, so the table (and its construction) never takes more
+    memory than one block.  j <= n keeps the table buildable when k > n."""
+    j = 0
+    while j < min(k - 1, n) and math.comb(n, j + 1) <= rows:
+        j += 1
+    return _subset_table(n, j)
 
-    Each k-subset is a prefix of k - j indices, from `enumerate_ngons`, and a
-    tail of j, copied from `_subset_table(n, j)` as the suffix that follows
-    the prefix's last index.  j is the largest j <= k - 1 for which every
-    i-subset table with i <= j has at most `rows` rows, so the table (and its
-    construction) never takes more memory than one block."""
+
+def _split_chunks(n: int, k: int, lo: int, hi: int, tails: np.ndarray,
+                  rows: int = _CHUNK_ROWS):
+    """The k-subsets of range(n) whose first index lies in [lo, hi), in
+    lexicographic order, as blocks (P, T) of `rows` rows (the last block may
+    be shorter); none when k > n.  Row r is the prefix P[r] of k - j indices,
+    from `enumerate_ngons`, followed by the tail `tails[T[r]]` of j, where
+    `tails` is `_tail_table(n, k, rows)`: the tails after a prefix ending at
+    p are the table's last comb(n - 1 - p, j) rows.  So an engine can
+    compute what it needs of the tails once per table, and per block only
+    combine it with the prefixes."""
     hi = min(hi, n - k + 1)
     if lo >= hi:
         return
-    j = 0
-    while j < k - 1 and math.comb(n, j + 1) <= rows:
-        j += 1
-    tails = _subset_table(n, j)
-    size = len(tails)
-    block, fill = np.empty((rows, k), dtype=np.int64), 0
+    size, j = tails.shape
+    prefixes, starts, takes, fill = [], [], [], 0
     for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
         start = size - math.comb(n - 1 - prefix[-1], j)
         while start < size:
             take = min(size - start, rows - fill)
-            block[fill:fill + take, :k - j] = prefix
-            block[fill:fill + take, k - j:] = tails[start:start + take]
+            prefixes.append(prefix)
+            starts.append(start)
+            takes.append(take)
             fill += take
             start += take
             if fill == rows:
-                yield block
-                block, fill = np.empty((rows, k), dtype=np.int64), 0
+                yield _split_block(prefixes, starts, takes)
+                prefixes, starts, takes, fill = [], [], [], 0
     if fill:
-        yield block[:fill]
+        yield _split_block(prefixes, starts, takes)
 
 
-def _centers(X: np.ndarray, Y: np.ndarray, scan_u: str = "definition"):
-    """Center of mass and hyperbolic centroid for rows of (x, y) columns.
+def _split_block(prefixes, starts, takes):
+    # each run of `take` rows repeats one prefix over consecutive tail rows
+    takes = np.array(takes, dtype=np.int64)
+    ends = np.cumsum(takes)
+    P = np.repeat(np.array(prefixes, dtype=np.int64), takes, axis=0)
+    T = np.repeat(np.array(starts, dtype=np.int64) - (ends - takes), takes)
+    return P, T + np.arange(ends[-1])
 
-    scan_u picks the centroid height used for distance scoring: "definition"
-    is sqrt(|C|^2 - t^2); "mean-y" is psi(y, y), the convention behind the
-    reference witnesses."""
-    com_t = X.mean(axis=1)
-    com_u = Y.mean(axis=1)
-    W, s = _inverse_y_weights(Y.T)
-    hyp_t = sum(w * x for w, x in zip(W, X.T)) / s
+
+def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
+    """The blocks of `_split_chunks` as whole index rows: `rows` k-subsets
+    of range(n) whose first index lies in [lo, hi), in lexicographic order
+    (the last block may be shorter); none when k > n."""
+    tails = _tail_table(n, k, rows)
+    for P, T in _split_chunks(n, k, lo, hi, tails, rows):
+        # a view of a whole `rows`-row block: freeing a block that large
+        # raises glibc's mmap and trim thresholds, so the callers' later
+        # temporaries reuse heap pages (an exact-size block cost each
+        # r2=4 k=5 Julia report about 1 900 page faults and 15 % of its time)
+        block = np.empty((rows, k), dtype=np.int64)[:len(T)]
+        block[:, :P.shape[1]], block[:, P.shape[1]:] = P, tails[T]
+        yield block
+
+
+def _point_sums(xs: np.ndarray, ys: np.ndarray, idx: np.ndarray,
+                norms: bool = True) -> list:
+    """Per row of the index columns idx (any width, 0 included), the sums
+    the centers need, as columns in the dtype of xs and ys: [sum x, sum y,
+    prod y, s, F] and, if `norms`, G, where w_i = prod_{l!=i} y_l are the
+    row's (1/y) weights, s = sum w_i, F = sum w_i x_i and G = sum w_i
+    |z_i|^2.  An empty row has prod 1 and all sums 0.
+
+    Two rows join into the sums of their concatenation (`_join_sums`), so a
+    k-subset's sums are its prefix's joined with its tail's."""
+    X, Y = xs[idx].T, ys[idx].T
+    zero = np.zeros(len(idx), dtype=xs.dtype)
+    W, _ = _inverse_y_weights(Y)
+    sums = [X.sum(axis=0), Y.sum(axis=0), Y.prod(axis=0), sum(W, zero),
+            sum((w * x for w, x in zip(W, X)), zero)]
+    if norms:
+        sums.append(sum((w * (x * x + y * y) for w, x, y in zip(W, X, Y)),
+                        zero))
+    return sums
+
+
+def _join_sums(head: list, tail: list) -> list:
+    """`_point_sums` of rows that are a head followed by a tail.  A weight
+    of a head point is its weight in the head times the tail's prod y, and
+    the other way round: s = Pi_h s_t + s_h Pi_t, likewise F and G."""
+    (sx, sy, pi, *rest), (tx, ty, tpi, *trest) = head, tail
+    return [sx + tx, sy + ty, pi * tpi,
+            *(pi * t + h * tpi for h, t in zip(rest, trest))]
+
+
+def _centers(sums: list, k: int, scan_u: str = "definition"):
+    """Center of mass and hyperbolic centroid of k-subsets from their
+    `_point_sums` [sum x, sum y, prod y, s, F(, G)].
+
+    scan_u picks the centroid height used for distance scoring:
+    "definition" is sqrt(|C|^2 - t^2) with |C|^2 = G / s; "mean-y" is
+    psi(y, y) = k prod y / s (each w_i y_i is prod y), the convention behind
+    the reference witnesses."""
+    sx, sy, pi, s, F, *G = sums
+    hyp_t = F / s
     if scan_u == "mean-y":
-        hyp_u = sum(w * y for w, y in zip(W, Y.T)) / s
+        hyp_u = k * pi / s
     else:
-        normsq = sum(w * (x * x + y * y) for w, x, y in zip(W, X.T, Y.T)) / s
-        hyp_u = np.sqrt(np.maximum(normsq - hyp_t * hyp_t, 0.0))
-    return com_t, com_u, hyp_t, hyp_u
+        hyp_u = np.sqrt(np.maximum(G[0] / s - hyp_t * hyp_t, 0.0))
+    return sx / k, sy / k, hyp_t, hyp_u
 
 
 def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):
@@ -319,11 +416,15 @@ def _maxdist_range(task):
     """Per index block: the largest distance key and its (first) index set."""
     points, k, metric, scan_u, lo, hi = task
     xs, ys = np.array(points, dtype=np.float64).T
-    for idx in _index_chunks(len(points), k, lo, hi):
-        com_t, com_u, hyp_t, hyp_u = _centers(xs[idx], ys[idx], scan_u)
-        key = _distance_key(metric, com_t, com_u, hyp_t, hyp_u)
+    n, norms = len(points), scan_u == "definition"
+    tails = _tail_table(n, k)
+    tail_sums = _point_sums(xs, ys, tails, norms)
+    for P, T in _split_chunks(n, k, lo, hi, tails):
+        sums = _join_sums(_point_sums(xs, ys, P, norms),
+                          [col[T] for col in tail_sums])
+        key = _distance_key(metric, *_centers(sums, k, scan_u))
         j = int(np.argmax(key))
-        yield float(key[j]), tuple(int(v) for v in idx[j])
+        yield float(key[j]), (*P[j].tolist(), *tails[T[j]].tolist())
 
 
 def max_distance(config: LatticeConfig, metric: str | None = None,
@@ -386,12 +487,13 @@ def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
     return shifts.astype(np.int64, copy=False)
 
 
-def _expand_forms(X: np.ndarray, Y: np.ndarray) -> list:
+def _expand_forms(X: np.ndarray, Y: np.ndarray, tail=(1,)) -> list:
     """Coefficient columns of the rows' forms prod_i (x^2 - 2 x_i xy +
-    (x_i^2+y_i^2) y^2) in the dtype of X (int64, or object where
-    `_int64_safe` fails); the leading coefficient is the number 1."""
-    return _quadratic_product((-2 * x, x * x + y * y)
-                              for x, y in zip(X.T, Y.T))
+    (x_i^2+y_i^2) y^2) times the monic form with coefficient columns `tail`
+    (default 1), in the dtype of X (int64, or object where `_int64_safe`
+    fails); the leading coefficient is the number 1."""
+    return _quadratic_product(((-2 * x, x * x + y * y)
+                               for x, y in zip(X.T, Y.T)), tail)
 
 
 def _shift_heights(coeffs: list, shifts: np.ndarray) -> np.ndarray:
@@ -413,19 +515,28 @@ def _int64_safe(r2: int, k: int) -> bool:
 
 
 def _compare_range(task):
-    """Per index block: (rows, hyperbolic wins, julia wins, same)."""
+    """Per index block: (rows, hyperbolic wins, julia wins, same).  Rows
+    whose two shifts are equal have equal heights, so only the others are
+    expanded and shifted (see `compare_stats`)."""
     points, k, tie, dtype, lo, hi = task
     xs, ys = np.array(points, dtype=dtype).T
-    for idx in _index_chunks(len(points), k, lo, hi):
-        X, Y = xs[idx], ys[idx]
-        m_com = _shifts_from_ratio(X.sum(axis=1), k, tie)
-        W, s = _inverse_y_weights(Y.T)
-        m_hyp = _shifts_from_ratio(sum(w * x for w, x in zip(W, X.T)), s, tie)
-        coeffs = _expand_forms(X, Y)
-        h_com = _shift_heights(coeffs, m_com)
-        h_hyp = _shift_heights(coeffs, m_hyp)
-        yield (int(idx.shape[0]), int((h_hyp < h_com).sum()),
-               int((h_com < h_hyp).sum()), int((h_com == h_hyp).sum()))
+    n = len(points)
+    tails = _tail_table(n, k)
+    tail_sums = _point_sums(xs, ys, tails, norms=False)
+    tail_coeffs = _expand_forms(xs[tails], ys[tails])
+    for P, T in _split_chunks(n, k, lo, hi, tails):
+        sx, _, _, s, F = _join_sums(_point_sums(xs, ys, P, norms=False),
+                                    [col[T] for col in tail_sums])
+        m_com = _shifts_from_ratio(sx, k, tie)
+        m_hyp = _shifts_from_ratio(F, s, tie)
+        d = np.flatnonzero(m_com != m_hyp)
+        Pd, Td = P[d], T[d]
+        coeffs = _expand_forms(xs[Pd], ys[Pd],
+                               [1, *(col[Td] for col in tail_coeffs[1:])])
+        h_com = _shift_heights(coeffs, m_com[d])
+        h_hyp = _shift_heights(coeffs, m_hyp[d])
+        hyp, julia = int((h_hyp < h_com).sum()), int((h_com < h_hyp).sum())
+        yield len(P), hyp, julia, len(P) - hyp - julia
 
 
 def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,

@@ -255,11 +255,12 @@ def from_upper_roots(roots) -> BinaryForm:
     return BinaryForm(tuple(_quadratic_product(factors)))
 
 
-def _quadratic_product(factors) -> list:
+def _quadratic_product(factors, b=(1,)) -> list:
     """Coefficients (descending x-power) of prod (x^2 + A*x*y + B*y^2) over
-    the (A, B) pairs.  A and B are numbers, or equal-length numpy columns
-    (one row per form); the leading coefficient stays the number 1."""
-    b = [1]
+    the (A, B) pairs, times the monic polynomial b (default 1).  A and B are
+    numbers, or equal-length numpy columns (one row per form); the leading
+    coefficient stays the number 1."""
+    b = list(b)
     for A, B in factors:
         b += [0, 0]
         for j in range(len(b) - 1, 1, -1):

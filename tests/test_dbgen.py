@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formred import (CompareStats, LatticeConfig, build_record,
                      center_of_mass, centroid_from_factors, compare_stats,
@@ -16,11 +17,13 @@ from formred import (CompareStats, LatticeConfig, build_record,
                      write_db, UhpPoint)
 from formred import dbgen
 from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
-                           _index_chunks, _int64_safe, _range_tasks,
-                           _shift_heights, _shifts_from_ratio)
+                           _index_chunks, _int64_safe, _join_sums,
+                           _point_sums, _range_tasks, _shift_heights,
+                           _shifts_from_ratio, _split_chunks, _tail_table)
 from formred.hyper import _inverse_y_weights
 from oracles import (compare_record, index_chunks_reference,
-                     inverse_y_weights, julia_report_oracle, record_line)
+                     inverse_y_weights, julia_report_oracle,
+                     maxdist_keys_reference, record_line)
 
 
 def brute_count(r2):
@@ -86,6 +89,16 @@ def _same_blocks(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def _split_blocks(n, k, lo, hi, rows=_CHUNK_ROWS):
+    # the split blocks joined back into whole index rows
+    tails = _tail_table(n, k, rows)
+    for P, T in _split_chunks(n, k, lo, hi, tails, rows):
+        assert P.dtype == T.dtype == np.int64
+        assert P.shape == (len(T), k - tails.shape[1])
+        assert len(T) and 0 <= T.min() and T.max() < len(tails)
+        yield np.hstack((P, tails[T]))
+
+
 def test_index_chunks_match_reference():
     # rows 1, 3 and 7 split blocks mid-prefix and, with the default, use
     # every tail width j = 0 .. k-1 (the largest j <= k-1 whose subset
@@ -99,24 +112,45 @@ def test_index_chunks_match_reference():
                     j += 1
                 if k <= n:
                     widths.add(j)
+                    assert _tail_table(n, k, rows).shape == (math.comb(n, j), j)
                 last = max(n - k + 1, 0)
                 for lo, hi in ((0, 0), (2, 2), (3, 1), (0, 1), (1, last),
                                (0, last), (last // 2, n + 4), (n, n + 1)):
                     _same_blocks(_index_chunks(n, k, lo, hi, rows),
                                  index_chunks_reference(n, k, lo, hi, rows))
+                    _same_blocks(_split_blocks(n, k, lo, hi, rows),
+                                 index_chunks_reference(n, k, lo, hi, rows))
     assert widths == set(range(9))
+
+
+def test_width_zero_tail_sums():
+    # at j = 0 every tail is empty: prod y = 1 and every sum is 0
+    xs, ys = np.array([3, -1, 4]), np.array([1, 5, 9])
+    for dtype in (np.int64, object, np.float64):
+        tails = _tail_table(3, 1)
+        assert tails.shape == (1, 0)
+        sums = _point_sums(xs.astype(dtype), ys.astype(dtype), tails)
+        assert [list(col) for col in sums] == [[0], [0], [1], [0], [0], [0]]
+        head = _point_sums(xs.astype(dtype), ys.astype(dtype),
+                           np.array([[0], [2]]))
+        for a, b in zip(_join_sums(head, [np.repeat(c, 2) for c in sums]),
+                        head):
+            assert list(a) == list(b)
 
 
 def test_index_chunks_concatenate_over_range_tasks():
     for n, k in ((12, 3), (20, 4), (9, 9), (5, 7)):
         full = np.array(list(itertools.combinations(range(n), k)),
                         dtype=np.int64).reshape(-1, k)
+        assert len(_range_tasks(range(n), k, 1)) == 1
         for workers in (1, 3):
-            blocks = [b for *_, lo, hi in _range_tasks(range(n), k, workers)
-                      for b in _index_chunks(n, k, lo, hi, rows=7)]
-            got = (np.concatenate(blocks) if blocks
-                   else np.empty((0, k), dtype=np.int64))
-            assert np.array_equal(got, full)
+            tasks = _range_tasks(range(n), k, workers)
+            for chunks in (_index_chunks, _split_blocks):
+                blocks = [b for *_, lo, hi in tasks
+                          for b in chunks(n, k, lo, hi, rows=7)]
+                got = (np.concatenate(blocks) if blocks
+                       else np.empty((0, k), dtype=np.int64))
+                assert np.array_equal(got, full)
 
 
 def _up_2dp(num, den):
@@ -156,6 +190,7 @@ def test_unknown_conventions_rejected_before_the_scan(monkeypatch):
         raise AssertionError("scan started")
 
     monkeypatch.setattr(dbgen, "_index_chunks", unreachable)
+    monkeypatch.setattr(dbgen, "_split_chunks", unreachable)
     monkeypatch.setattr(dbgen, "_fan_out", unreachable)
     for cfg in (LatticeConfig(r2=4, kgon=3), LatticeConfig(r2=2, kgon=9)):
         for workers in (1, 2):
@@ -292,9 +327,12 @@ def test_block_kernels_match_scalar_route(rng):
         ms = np.array([shifts[i % len(shifts)] for i in range(len(sets))])
         forms = [from_upper_roots([UhpPoint(x, y) for x, y in roots])
                  for roots in sets]
+        # each row's points, and its index columns into them
+        idx = np.arange(len(sets) * k).reshape(len(sets), k)
         for dtype in (np.int64, object):
-            X = np.array([[x for x, _ in roots] for roots in sets], dtype=dtype)
-            Y = np.array([[y for _, y in roots] for roots in sets], dtype=dtype)
+            xs = np.array([x for roots in sets for x, _ in roots], dtype=dtype)
+            ys = np.array([y for roots in sets for _, y in roots], dtype=dtype)
+            X, Y = xs[idx], ys[idx]
             coeffs = _expand_forms(X, Y)
             assert coeffs[0] == 1 and len(coeffs) == 2 * k + 1
             for j, col in enumerate(coeffs[1:], start=1):
@@ -304,19 +342,62 @@ def test_block_kernels_match_scalar_route(rng):
                 got = _shift_heights(coeffs, m)
                 assert list(got) == [height(shift(f, int(v)))
                                      for f, v in zip(forms, m)]
-        com_t, com_u, hyp_t, hyp_u = _centers(X.astype(np.float64),
-                                              Y.astype(np.float64))
-        _, _, _, mean_y = _centers(X.astype(np.float64),
-                                   Y.astype(np.float64), "mean-y")
-        for i, roots in enumerate(sets):
-            pts = [UhpPoint(x, y) for x, y in roots]
-            com = center_of_mass(pts)
-            hyp = hyperbolic_centroid(pts)
-            ys = [y for _, y in roots]
-            assert (com_t[i], com_u[i]) == (float(com.t), float(com.u))
-            assert hyp_t[i] == float(hyp.t)
-            assert hyp_u[i] == pytest.approx(hyp.u, rel=1e-12)
-            assert mean_y[i] == float(psi(ys, ys))
+            # a head's quadratics times its tail's form, at every split
+            for a in range(k + 1):
+                tail = _expand_forms(X[:, a:], Y[:, a:])
+                split = _expand_forms(X[:, :a], Y[:, :a], tail)
+                assert split[0] == 1 and len(split) == 2 * k + 1
+                for want, got in zip(coeffs[1:], split[1:]):
+                    assert got.dtype == dtype and list(got) == list(want)
+        xs, ys = xs.astype(np.float64), ys.astype(np.float64)
+        for a in range(k + 1):
+            sums = _join_sums(_point_sums(xs, ys, idx[:, :a]),
+                              _point_sums(xs, ys, idx[:, a:]))
+            com_t, com_u, hyp_t, hyp_u = _centers(sums, k)
+            _, _, _, mean_y = _centers(sums, k, "mean-y")
+            for i, roots in enumerate(sets):
+                pts = [UhpPoint(x, y) for x, y in roots]
+                com = center_of_mass(pts)
+                hyp = hyperbolic_centroid(pts)
+                ys_i = [y for _, y in roots]
+                assert (com_t[i], com_u[i]) == (float(com.t), float(com.u))
+                assert hyp_t[i] == float(hyp.t)
+                assert hyp_u[i] == pytest.approx(hyp.u, rel=1e-12)
+                assert mean_y[i] == float(psi(ys_i, ys_i))
+
+
+@pytest.mark.parametrize("r2, k, scope", [
+    (20, 3, "positive-re"), (7, 5, "positive-re"), (5, 4, "all"),
+    (4, 6, "all")])
+def test_maxdist_keys_match_whole_row_reference(monkeypatch, r2, k, scope):
+    # the keys the engine scores, from prefix and tail sums, equal the
+    # whole-row route's bit for bit (every intermediate is an integer
+    # below 2^53 in float64)
+    keys = []
+
+    def recorded(*args):
+        keys.append(distance_key(*args))
+        return keys[-1]
+
+    distance_key = dbgen._distance_key
+    monkeypatch.setattr(dbgen, "_distance_key", recorded)
+    pts = lattice_points(r2)
+    if scope == "positive-re":
+        pts = [p for p in pts if p[0] >= 1]
+    assert k * r2 ** (k + 1) < 2 ** 53
+    xs, ys = np.array(pts, dtype=np.float64).T
+    idx = np.concatenate(list(index_chunks_reference(len(pts), k, 0, len(pts),
+                                                     _CHUNK_ROWS)))
+    X, Y = xs[idx], ys[idx]
+    for scan_u in dbgen.MAXDIST_SCAN_US:
+        for metric in dbgen.MAXDIST_METRICS:
+            keys.clear()
+            rec = max_distance(LatticeConfig(r2=r2, kgon=k), metric, scope,
+                               scan_u)
+            want = maxdist_keys_reference(X, Y, metric, scan_u)
+            assert np.array_equal(np.concatenate(keys), want)
+            best = int(np.argmax(want))
+            assert rec.roots == tuple(pts[i] for i in idx[best])
 
 
 def random_roots(rng, k, span=30):
@@ -330,6 +411,46 @@ def random_roots(rng, k, span=30):
 def test_compare_stats_workers_deterministic():
     cfg = LatticeConfig(r2=4, kgon=3)
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
+
+
+@st.composite
+def small_databases(draw):
+    r2 = draw(st.integers(2, 4))
+    region = draw(st.sampled_from(dbgen.REGIONS))
+    n = len(lattice_points(r2, region))
+    # at most comb(19, 4) = 3 876 rows, and one k past the point count
+    k = draw(st.integers(1, min(n + 1, 4 if r2 == 4 else 6)))
+    return LatticeConfig(r2=r2, kgon=k, region=region)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=small_databases(), tie=st.sampled_from(list(TIE_NAMES)))
+def test_compare_stats_match_per_row_oracle(cfg, tie):
+    # compare_record shifts by round_tie and shifts the form by the binomial
+    # theorem (binomial_shift)
+    rows = [compare_record(roots, tie)[2:] for roots in
+            itertools.combinations(lattice_points(cfg.r2, cfg.region),
+                                   cfg.kgon)]
+    hyp = sum(h_hyp < h_com for h_com, h_hyp in rows)
+    julia = sum(h_com < h_hyp for h_com, h_hyp in rows)
+    assert compare_stats(cfg, tie) == \
+        CompareStats(len(rows), hyp, julia, len(rows) - hyp - julia)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfg=small_databases(), metric=st.sampled_from(dbgen.MAXDIST_METRICS),
+       scope=st.sampled_from(dbgen.MAXDIST_SCOPES),
+       scan_u=st.sampled_from(dbgen.MAXDIST_SCAN_US))
+def test_max_distance_one_range_matches_two_workers(cfg, metric, scope,
+                                                     scan_u):
+    # workers=1 scans one range, workers=2 splits it into 32
+    def scan(workers):
+        try:
+            return max_distance(cfg, metric, scope, scan_u, workers=workers)
+        except ValueError as exc:  # k larger than the scope's point set
+            return str(exc)
+
+    assert scan(1) == scan(2)
 
 
 def test_compare_record_against_library_route():
