@@ -61,7 +61,7 @@ from .forms import (UpperRootSet, _quadratic_product, _taylor_shift,
                     from_upper_roots)
 from .hyper import (UhpPoint, _inverse_y_weights, _nint_ratio, center_of_mass,
                     hyperbolic_centroid)
-from .julia import _julia_zeros, minimize_theta0
+from .julia import _julia_start, _julia_zeros, minimize_theta0
 
 REGIONS = ("halfdisc-exclude-i", "positive-re")
 
@@ -668,24 +668,21 @@ def julia_vs_com_report(config: LatticeConfig) -> dict:
     fixed config.
 
     Per index block the zeros come from one batched Newton
-    (`julia._julia_zeros`) started, as `minimize_theta0` starts, at the zero
-    of the quadratic with pair weights 1/y; a row whose line search stalls
-    is solved again by `minimize_theta0`."""
+    (`julia._julia_zeros`) from `minimize_theta0`'s start
+    (`julia._julia_start`, the rows' hyperbolic centroids); a row whose line
+    search stalls is solved again by `minimize_theta0`."""
     points = lattice_points(config.r2, config.region)
     k = config.kgon
     if k > len(points):
         raise ValueError("k-gon larger than the point set")
     xs, ys = np.array(points, dtype=np.int64).T
+    m = np.full(k, 2.0)  # every root is a pair
     total = differ = 0
     for idx in _index_chunks(len(points), k, 0, len(points)):
         X, Y = xs[idx], ys[idx]
         m_com = _nint_ratio(X.sum(axis=1), k, "away")
-        Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
-        w = 1.0 / Yf
-        x0 = (w * Xf).sum(axis=1) / w.sum(axis=1)
-        y0 = np.sqrt((w * ((Xf - x0[:, None]) ** 2 + Yf * Yf)).sum(axis=1)
-                     / w.sum(axis=1))
-        zx, _, stalled = _julia_zeros(Xf, Yf * Yf, 2.0, x0, y0)
+        Xf, Y2 = X.astype(np.float64), Y.astype(np.float64) ** 2
+        zx, _, stalled = _julia_zeros(Xf, Y2, m, *_julia_start(Xf, Y2))
         for i in np.flatnonzero(stalled):
             pts = tuple(map(UhpPoint, X[i].tolist(), Y[i].tolist()))
             zx[i] = minimize_theta0(from_upper_roots(pts),

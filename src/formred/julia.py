@@ -16,6 +16,10 @@ best ones for the zero z = x + iy, and there log theta_0 is, up to a constant,
 Phi(z) = sum m_k log((x - x_k)^2 + y^2 + y_k^2) - n log y, with m_k = 1 for a
 real root and 2 for a pair.  Its minimizer, found by damped Newton, is the
 Julia zero, and the weights there give the Julia quadratic.
+
+One kernel, `_phi`, gives Phi with its derivatives from x_k, y_k^2 and m_k
+(m per root): numbers for one form (`_julia_zero`), numpy columns for a block
+of forms (`_julia_zeros`); `_julia_start` gives both Newton's start.
 """
 
 from __future__ import annotations
@@ -101,6 +105,53 @@ def _root_terms(roots: UpperRootSet):
             np.array([1.0] * r + [2.0] * s))
 
 
+def _julia_start(X, Y2):
+    """Newton's start: the zero of the quadratic with real-root weight 1 and
+    pair weight 1/y_k (the hyperbolic centroid for a totally complex form).
+    X and Y2 hold x_k and y_k^2 along their last axis, as for `_phi`."""
+    W = 1 / np.sqrt(np.where(Y2 > 0, Y2, 1.0))
+    w = W.sum(axis=-1)
+    x = (W * X).sum(axis=-1) / w
+    d = X - x[..., None]
+    return x, np.sqrt((W * (d * d + Y2)).sum(axis=-1) / w)
+
+
+def _phi(X, Y2, m, x, s):
+    """Phi at the zero (x, e^s), its frame gradient (y dPhi/dx, dPhi/ds) and
+    Hessian (h00, h01, h11) in the frame (dx / y, ds), Phi = inf where any is
+    not finite.  X and Y2 hold x_k and y_k^2 as (K,) arrays with x, s numbers,
+    or as (rows, K) arrays with x, s of shape (rows,); m has shape (K,)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.exp(s)
+        yy, y2, yy2 = y * y, 2 * y, 2 * y * y
+        n = phi = g0 = q = a00 = a01 = a11 = 0.0
+        for xk, yk2, mk in zip(X.T, Y2.T, m):
+            # the term m_k log D_k, its frame gradient m_k (e0, e1) and the
+            # sums of m_k e_i e_j that the Hessian subtracts
+            d = x - xk
+            D = d * d + yy + yk2
+            e0, e1 = y2 * d / D, yy2 / D
+            me0, me1 = mk * e0, mk * e1
+            n += mk
+            phi = phi + mk * np.log(D)
+            g0, q = g0 + me0, q + me1
+            a00, a01, a11 = a00 + me0 * e0, a01 + me0 * e1, a11 + me1 * e1
+        P = np.array((phi - n * s, g0, q - n, q - a00, -a01, 2 * q - a11))
+    P[0, ...][~np.isfinite(P).all(axis=0)] = math.inf  # P[0, ...] is a view
+    return P[0], P[1:3], P[3:]
+
+
+def _newton_step(g, H):
+    """The Newton step -H^-1 g of the frame gradient g and Hessian H, or -g
+    where H is not positive definite; closed-form 2x2 solve."""
+    h00, h01, h11 = H
+    det = h00 * h11 - h01 * h01
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where((h00 > 0) & (det > 0),
+                        np.array((h01 * g[1] - h11 * g[0],
+                                  h01 * g[0] - h00 * g[1])) / det, -g)
+
+
 # Both solvers stop at a hyperbolic gradient below _GRAD_TOL, halve a rejected
 # step at most _HALVINGS times and give up after _MAX_STEPS steps.  A trial
 # point is taken when it lowers Phi or, since near the minimum Phi ties at
@@ -112,47 +163,27 @@ _HALVINGS = 60
 _MAX_STEPS = 10000
 
 
-def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
+def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
                 y: float):
     """Damped Newton on Phi(x, s), y = e^s, from (x, y) to a hyperbolic
     gradient (y dPhi/dx, dPhi/ds) below 1e-10; returns the minimizer (x, y).
     Steps are taken in the frame (dx / y, ds) and follow the negative gradient
     where the Hessian is not positive definite."""
-    n = m.sum()
-
-    def evaluate(x, s):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = np.exp(s)
-            d = x - xk
-            D = d * d + y * y + yk2
-            # columns: the frame gradients (2yd/D, 2y^2/D) of the terms log D_k
-            E = np.array((2 * y * d / D, 2 * y * y / D))
-            phi = m @ np.log(D) - n * s
-            g = E @ m - (0, n)
-            q = E[1] @ m
-            H = np.array(((q, 0), (0, 2 * q))) - (E * m) @ E.T
-        if not (np.isfinite(phi) and np.isfinite(H).all()):
-            phi = math.inf  # overflow: the step is rejected
-        return phi, g, H
-
     s = math.log(y)
-    phi, g, H = evaluate(x, s)
+    phi, g, H = _phi(X, Y2, m, x, s)
     for _ in range(_MAX_STEPS):
         gnorm = np.max(np.abs(g))
-        if H[0, 0] > 0 and H[0, 0] * H[1, 1] > H[0, 1] ** 2:
-            step = np.linalg.solve(H, -g)
-        else:
-            step = -g
+        step = _newton_step(g, H)
         y = math.exp(s)
         if gnorm < _GRAD_TOL:
             # the test bounds the error only up to the Hessian's conditioning;
             # one more step from here lands at rounding level
-            trial = evaluate(x + y * step[0], s + step[1])
+            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
             if np.max(np.abs(trial[1])) <= gnorm:
                 x, s = x + y * step[0], s + step[1]
             return x, math.exp(s)
         for _ in range(_HALVINGS):
-            trial = evaluate(x + y * step[0], s + step[1])
+            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
             if trial[0] < phi or (
                     trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
                     and np.max(np.abs(trial[1])) < 0.5 * gnorm):
@@ -166,58 +197,29 @@ def _julia_zero(xk: np.ndarray, yk2: np.ndarray, m: np.ndarray, x: float,
         f"theta_0 minimization did not reach tol={_GRAD_TOL:g}")
 
 
-def _phi_rows(X, Y2, m, n, x, s):
-    """Phi, its frame gradient (g0, g1) and Hessian (h00, h01, h11) at the
-    points (x, e^s) of the rows, as `_julia_zero`'s evaluate computes them
-    for one row; Phi is inf where any of them is not finite."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.exp(s)[:, None]
-        d = x[:, None] - X
-        D = d * d + y * y + Y2
-        e0, e1 = 2 * y * d / D, 2 * y * y / D
-        phi = (m * np.log(D)).sum(axis=1) - n * s
-        g0 = (m * e0).sum(axis=1)
-        q = (m * e1).sum(axis=1)
-        h00 = q - (m * e0 * e0).sum(axis=1)
-        h01 = -(m * e0 * e1).sum(axis=1)
-        h11 = 2 * q - (m * e1 * e1).sum(axis=1)
-    finite = np.isfinite(phi) & np.isfinite(h00) & np.isfinite(h01)
-    phi[~(finite & np.isfinite(h11))] = math.inf
-    return phi, np.array((g0, q - n)), np.array((h00, h01, h11))
-
-
-def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m, x: np.ndarray,
-                 y: np.ndarray):
-    """`_julia_zero` on every row at once: X and Y2 hold the rows' x_k and
-    y_k^2 as (rows, K) float arrays, m the multiplicities (broadcast to
-    them), x and y the start points.  Each row takes the scalar solver's
-    steps, stopping rule and line search; rows leave the iteration when they
-    converge or stall.  Returns the zeros (x, y) and a mask of the rows
-    whose line search stalled or that ran out of steps, where (x, y) is
+def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x, y):
+    """`_julia_zero` on every row at once (X and Y2 of shape (rows, K), m
+    per root, x and y the start points): each row takes the scalar solver's
+    steps, stopping rule and line search, and leaves the iteration when it
+    converges or stalls.  Returns the zeros (x, y) and a mask of the rows
+    whose line search stalled or ran out of steps, where (x, y) is
     meaningless."""
-    m = np.broadcast_to(m, X.shape)
-    n = m.sum(axis=1)
     x, s = np.array(x, dtype=np.float64), np.log(y)
-    phi, g, H = _phi_rows(X, Y2, m, n, x, s)
+    phi, g, H = _phi(X, Y2, m, x, s)
     stalled = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
     for _ in range(_MAX_STEPS):
         if not live.size:
             break
-        gl, (h00, h01, h11) = g[:, live], H[:, live]
+        gl = g[:, live]
         gnorm = np.abs(gl).max(axis=0)
-        det = h00 * h11 - h01 * h01
-        newton = (h00 > 0) & (det > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(newton, (np.array((h01 * gl[1] - h11 * gl[0],
-                                               h01 * gl[0] - h00 * gl[1]))
-                                     / det), -gl)
+        step = _newton_step(gl, H[:, live])
         y = np.exp(s[live])
         done = gnorm < _GRAD_TOL
         # converged rows: one more step unless it raises the gradient
         rows = live[done]
         xt, st = x[rows] + y[done] * step[0, done], s[rows] + step[1, done]
-        gt = _phi_rows(X[rows], Y2[rows], m[rows], n[rows], xt, st)[1]
+        gt = _phi(X[rows], Y2[rows], m, xt, st)[1]
         better = np.abs(gt).max(axis=0) <= gnorm[done]
         x[rows[better]], s[rows[better]] = xt[better], st[better]
         # the others: a line search of at most _HALVINGS halvings
@@ -228,7 +230,7 @@ def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m, x: np.ndarray,
             if not rows.size:
                 break
             xt, st = x[rows] + y * step[0], s[rows] + step[1]
-            pt, gt, ht = _phi_rows(X[rows], Y2[rows], m[rows], n[rows], xt, st)
+            pt, gt, ht = _phi(X[rows], Y2[rows], m, xt, st)
             p0 = phi[rows]
             ok = (pt < p0) | ((pt < p0 + _PHI_RTOL * (1 + abs(p0)))
                               & (np.abs(gt).max(axis=0) < 0.5 * gnorm))
@@ -263,12 +265,7 @@ def minimize_theta0(f: BinaryForm,
             f"signature ({r}, {s}) admits no positive definite minimizer"
         )
     xk, yk2, m = _root_terms(roots)
-    # start at the zero of the quadratic with real weights 1 and pair weights
-    # proportional to 1/y (the centroid quadratic for a totally complex form)
-    w = np.array([1.0] * r + [1.0 / float(b.u) for b in roots.upper])
-    x = (w @ xk) / w.sum()
-    x, y = _julia_zero(xk, yk2, m, x,
-                       math.sqrt(w @ ((xk - x) ** 2 + yk2) / w.sum()))
+    x, y = _julia_zero(xk, yk2, m, *_julia_start(xk, yk2))
     # the weights sqrt(p_k) there, normalized to sum m_k log p_k = 0
     log_d = np.log((x - xk) ** 2 + y * y + yk2)
     root_p = np.exp(((m @ log_d) / m.sum() - log_d) / 2).tolist()

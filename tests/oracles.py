@@ -370,7 +370,12 @@ def minimize_cascade(f, patience=3, bound=64, tie="away"):
     """The full pipeline with stage 1 picked by trial: hyperbolic reduction,
     on DomainError center of mass, on DomainError again Julia; then shift
     descent and the scaling scan.  Built from the public stage functions, so
-    each attempt finds the roots again."""
+    each attempt finds the roots again.
+
+    It mirrors `minimize` only on stable forms.  `minimize` sends an
+    unstable form (`reduce._unstable_root`) straight to shift descent, so
+    the two differ there: (4,16,24,16,4,0,0) reaches height 2 under
+    `minimize` and 1 here, (16,40,9,-53,-53,-15) reaches 10 against 22."""
     from formred import (DomainError, ReductionReport, reduce_com,
                          reduce_hyperbolic, reduce_julia, scale_search,
                          shift_descent)

@@ -6,12 +6,14 @@ import pytest
 
 from formred import (BinaryForm, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
-                     from_upper_roots, lattice_points, minimize_theta0,
+                     from_upper_roots, hyperbolic_centroid, lattice_points,
+                     minimize_theta0,
                      mobius, nint,
                      q_discriminant, q_of_weights, reduce_julia, roots_upper,
                      shift, theta0, transform)
 from conftest import random_upper_points
-from formred.julia import _julia_zero, _julia_zeros, _root_terms
+from formred.julia import (_julia_start, _julia_zero, _julia_zeros, _phi,
+                           _root_terms)
 from oracles import julia_zero_grid, random_sl2, theta0_log_gradient
 
 TRI_JULIA_ZERO = (10.5663210488, 15.8456762537)  # grid + Nelder-Mead oracle
@@ -162,20 +164,41 @@ def test_restart_stability(rng, pentagon):
     assert np.max(np.abs(np.array(zeros) - zeros[0])) < 1e-6
 
 
+@pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])
+def test_phi_numbers_match_columns(rng, r, s):
+    # one form's entries as numbers against a block's columns at its row
+    rows = 40
+    X = np.hstack((rng.uniform(-20, 20, (rows, r)),
+                   rng.uniform(-20, 20, (rows, s))))
+    Y2 = np.hstack((np.zeros((rows, r)), rng.uniform(0.1, 20, (rows, s)) ** 2))
+    m = np.array([1.0] * r + [2.0] * s)
+    x, lny = rng.uniform(-30, 30, rows), rng.uniform(-3, 4, rows)
+    block = _phi(X, Y2, m, x, lny)
+    for i in range(rows):
+        single = _phi(X[i], Y2[i], m, float(x[i]), float(lny[i]))
+        for a, b in zip(single, block):
+            np.testing.assert_allclose(a, b[..., i], rtol=1e-14, atol=0)
+
+
+def test_julia_start_is_hyperbolic_centroid(rng):
+    for _ in range(30):
+        pts = random_upper_points(rng, int(rng.integers(1, 7)))
+        xk, yk2, _ = _root_terms(_rootset(upper=pts))
+        c = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
+        x, y = _julia_start(xk, yk2)
+        assert abs(x - float(c.t)) < 1e-12 and abs(y - float(c.u)) < 1e-12
+
+
 @pytest.mark.parametrize("r2, k", [(3, 4), (4, 3)])
 def test_batched_zeros_match_scalar(r2, k):
-    # every n-gon of the database, from minimize_theta0's start: the zero of
-    # the quadratic with pair weights 1/y
+    # every n-gon of the database, from minimize_theta0's start
     rows = np.array(list(itertools.combinations(lattice_points(r2), k)),
                     dtype=np.float64)
     X, Y2 = rows[..., 0], rows[..., 1] ** 2
-    w = 1 / rows[..., 1]
-    x0 = (w * X).sum(axis=1) / w.sum(axis=1)
-    y0 = np.sqrt((w * ((X - x0[:, None]) ** 2 + Y2)).sum(axis=1)
-                 / w.sum(axis=1))
-    x, y, stalled = _julia_zeros(X, Y2, 2.0, x0, y0)
-    assert not stalled.any()
+    x0, y0 = _julia_start(X, Y2)
     m = np.full(k, 2.0)
+    x, y, stalled = _julia_zeros(X, Y2, m, x0, y0)
+    assert not stalled.any()
     for i in range(len(rows)):
         zx, zy = _julia_zero(X[i], Y2[i], m, x0[i], y0[i])
         assert abs(x[i] - zx) < 1e-12 and abs(y[i] - zy) < 1e-12

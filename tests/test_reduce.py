@@ -10,8 +10,8 @@ import formred.reduce
 from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
                      from_upper_roots, height, minimize, primitive,
                      reduce_com, reduce_hyperbolic, reduce_julia,
-                     scale_search, shift, shift_descent, shift_direction,
-                     transform)
+                     roots_upper, scale_search, shift, shift_descent,
+                     shift_direction, transform)
 from conftest import TRIANGLE_COEFFS, random_upper_points
 from oracles import (minimize_cascade, scale_exhaustive, scale_lemma,
                      scaled_primitive, wgcd)
@@ -266,6 +266,8 @@ def test_minimize_matches_stage1_cascade(coeffs):
         return r.to_json_dict(), r.scale, r.matrix
 
     f = BinaryForm(coeffs)
+    # the cascade mirrors minimize only on stable forms
+    assert formred.reduce._unstable_root(f, roots_upper(f)) is None
     for tie in ("away", "zero"):
         assert outcome(minimize, f, tie) == outcome(minimize_cascade, f, tie)
 
