@@ -16,8 +16,17 @@ coefficient or point: the root-quadratic product, the Taylor shift and the
 (1/y) weights.
 The index blocks are built without per-row Python work: each k-subset is a
 short prefix and a tail of j indices, and the tails of a prefix are a suffix
-of one lexicographic table of the j-subsets, which j keeps within one
-block's `rows` (see `_split_chunks`).
+of one lexicographic table of the j-subsets, which j keeps within
+`_CHUNK_ROWS` = 200 000 rows (see `_split_chunks`).  That table is wide so
+that the Python loop over prefixes stays short.  The compare and max-distance
+scans cut it into blocks of `_SCAN_ROWS` = 16 384 rows, 128 KB per 8-byte
+column, so that their many per-block temporaries stay near a core's L2 cache
+and reuse the C allocator's heap pages: at 200 000 rows each was a fresh
+1.6 MB mapping, about 31 000 minor page faults per r2=20 k=3 max-distance
+scan against 1 400.  `_index_chunks`, which feeds the Julia report and the
+records, keeps whole 200 000-row blocks: freeing one raises glibc's mmap
+threshold, so the Julia solver's (rows, K) temporaries land on reused pages
+too, and 16 384-row blocks made the report slower.
 
 The scans use that split.  Each engine computes, once per tail table, the
 tails' sums (sum x, sum y, prod y and the (1/y)-weighted s, F = sum w x and
@@ -91,7 +100,10 @@ MAXDIST_METRICS = ("euclidean", "hyperbolic")
 MAXDIST_SCOPES = ("positive-re", "all")
 MAXDIST_SCAN_US = ("mean-y", "definition")
 
+# the most rows of a tail table and of an `_index_chunks` block, and the rows
+# of a compare or max-distance block (see the module docstring)
 _CHUNK_ROWS = 200_000
+_SCAN_ROWS = 16_384
 # the largest |num| with 200 |num| < 2^53 (see _shifts_from_ratio)
 _EXACT_2DP_NUM = (2 ** 53 - 1) // 200
 
@@ -294,8 +306,9 @@ def _subset_table(n: int, j: int) -> np.ndarray:
 def _tail_table(n: int, k: int, rows: int = _CHUNK_ROWS) -> np.ndarray:
     """`_subset_table(n, j)` for the tail width j of `_split_chunks`: the
     largest j <= k - 1 for which every i-subset table with i <= j has at
-    most `rows` rows, so the table (and its construction) never takes more
-    memory than one block.  j <= n keeps the table buildable when k > n."""
+    most `rows` rows, which bounds the table and its construction.  Blocks
+    may be smaller than the table (see `_SCAN_ROWS`).  j <= n keeps the
+    table buildable when k > n."""
     j = 0
     while j < min(k - 1, n) and math.comb(n, j + 1) <= rows:
         j += 1
@@ -303,13 +316,14 @@ def _tail_table(n: int, k: int, rows: int = _CHUNK_ROWS) -> np.ndarray:
 
 
 def _split_chunks(n: int, k: int, lo: int, hi: int, tails: np.ndarray,
-                  rows: int = _CHUNK_ROWS):
+                  rows: int):
     """The k-subsets of range(n) whose first index lies in [lo, hi), in
     lexicographic order, as blocks (P, T) of `rows` rows (the last block may
     be shorter); none when k > n.  Row r is the prefix P[r] of k - j indices,
     from `enumerate_ngons`, followed by the tail `tails[T[r]]` of j, where
-    `tails` is `_tail_table(n, k, rows)`: the tails after a prefix ending at
-    p are the table's last comb(n - 1 - p, j) rows.  So an engine can
+    `tails` is `_tail_table(n, k, r)` for any r: the tails after a prefix
+    ending at p are the table's last comb(n - 1 - p, j) rows, split over
+    several blocks where they are more than `rows`.  So an engine can
     compute what it needs of the tails once per table, and per block only
     combine it with the prefixes."""
     hi = min(hi, n - k + 1)
@@ -419,7 +433,7 @@ def _maxdist_range(task):
     n, norms = len(points), scan_u == "definition"
     tails = _tail_table(n, k)
     tail_sums = _point_sums(xs, ys, tails, norms)
-    for P, T in _split_chunks(n, k, lo, hi, tails):
+    for P, T in _split_chunks(n, k, lo, hi, tails, _SCAN_ROWS):
         sums = _join_sums(_point_sums(xs, ys, P, norms),
                           [col[T] for col in tail_sums])
         key = _distance_key(metric, *_centers(sums, k, scan_u))
@@ -476,9 +490,11 @@ def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
     if tie != "up-2dp":
         return _nint_ratio(num, den, tie)
     den = np.broadcast_to(den, num.shape)
-    scaled, twice = 200 * num, 2 * den
-    shifts = ((scaled + den) // twice + 50) // 100
-    double = ((scaled % twice == den) | (abs(num) > _EXACT_2DP_NUM)
+    # q is c, and num/den is exactly half a cent where twice divides scaled
+    scaled, twice = 200 * num + den, 2 * den
+    q = scaled // twice
+    shifts = (q + 50) // 100
+    double = ((q * twice == scaled) | (abs(num) > _EXACT_2DP_NUM)
               | (den >= 2 ** 53))
     if double.any():
         t = num[double].astype(np.float64) / den[double].astype(np.float64)
@@ -524,7 +540,7 @@ def _compare_range(task):
     tails = _tail_table(n, k)
     tail_sums = _point_sums(xs, ys, tails, norms=False)
     tail_coeffs = _expand_forms(xs[tails], ys[tails])
-    for P, T in _split_chunks(n, k, lo, hi, tails):
+    for P, T in _split_chunks(n, k, lo, hi, tails, _SCAN_ROWS):
         sx, _, _, s, F = _join_sums(_point_sums(xs, ys, P, norms=False),
                                     [col[T] for col in tail_sums])
         m_com = _shifts_from_ratio(sx, k, tie)

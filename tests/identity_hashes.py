@@ -3,10 +3,15 @@ leaves every result byte-identical.
 
 Run from a checkout, once on each tree to compare:
 
-    PYTHONPATH=src python tests/identity_hashes.py [--lines] [recipe ...]
+    PYTHONPATH=src python tests/identity_hashes.py [--lines | --check] [recipe ...]
 
 `--lines` prints each recipe's lines, prefixed by the recipe name, instead of
 their digest, so that two trees can be compared line by line with `diff`.
+
+`--check` also compares the `compare` and `db` digests with the values pinned
+in PINNED below and exits 1 if one differs.  Those results are exact-integer
+buckets and correctly rounded records, so no platform or refactor may move
+them; a change that means to move them re-pins PINNED in the same commit.
 
 Recipes (all by default):
   compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
@@ -130,6 +135,11 @@ def julia_lines():
 RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
            "db": db_lines, "cli": cli_lines, "julia": julia_lines}
 
+PINNED = {
+    "compare": "cee85b9e580720dd84370a04199e62e2eab6b35a5f28f32d3ef406506cfc8228",
+    "db": "211e5158009a6375b88d3c03a936fdb1d73a3bf91454dd73a63f9329db28c8f0",
+}
+
 
 if __name__ == "__main__":
     args = sys.argv[1:]
@@ -140,10 +150,20 @@ if __name__ == "__main__":
             for line in RECIPES[name]():
                 print(f"{name}: {line}")
         sys.exit()
+    check = "--check" in args
+    if check:
+        args.remove("--check")
+    moved = []
     for name in args or RECIPES:
         digest = hashlib.sha256()
         count = 0
         for line in RECIPES[name]():
             digest.update(line.encode() + b"\n")
             count += 1
-        print(f"{name}: {count} lines, sha256 {digest.hexdigest()}")
+        hexdigest = digest.hexdigest()
+        print(f"{name}: {count} lines, sha256 {hexdigest}")
+        if check and name in PINNED and PINNED[name] != hexdigest:
+            moved.append(name)
+    if moved:
+        print(f"moved from the pinned digests: {', '.join(moved)}")
+        sys.exit(1)

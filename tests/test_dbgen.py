@@ -89,9 +89,11 @@ def _same_blocks(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-def _split_blocks(n, k, lo, hi, rows=_CHUNK_ROWS):
-    # the split blocks joined back into whole index rows
-    tails = _tail_table(n, k, rows)
+def _split_blocks(n, k, lo, hi, rows=_CHUNK_ROWS, tails=None):
+    # the split blocks joined back into whole index rows; the tail table
+    # defaults to the one of the same `rows`
+    if tails is None:
+        tails = _tail_table(n, k, rows)
     for P, T in _split_chunks(n, k, lo, hi, tails, rows):
         assert P.dtype == T.dtype == np.int64
         assert P.shape == (len(T), k - tails.shape[1])
@@ -102,10 +104,12 @@ def _split_blocks(n, k, lo, hi, rows=_CHUNK_ROWS):
 def test_index_chunks_match_reference():
     # rows 1, 3 and 7 split blocks mid-prefix and, with the default, use
     # every tail width j = 0 .. k-1 (the largest j <= k-1 whose subset
-    # tables up to j have at most `rows` rows)
-    widths = set()
+    # tables up to j have at most `rows` rows); the scans' blocks are
+    # smaller than the default table, so one prefix's tails span several
+    widths, spanned = set(), False
     for n in range(10):
         for k in range(1, n + 2):
+            table = _tail_table(n, k)
             for rows in (1, 3, 7, _CHUNK_ROWS):
                 j = 0
                 while j < k - 1 and math.comb(n, j + 1) <= rows:
@@ -113,14 +117,16 @@ def test_index_chunks_match_reference():
                 if k <= n:
                     widths.add(j)
                     assert _tail_table(n, k, rows).shape == (math.comb(n, j), j)
+                    # the first prefix's tails: the last comb(n - 1, j)
+                    spanned |= math.comb(n - 1, table.shape[1]) > rows
                 last = max(n - k + 1, 0)
                 for lo, hi in ((0, 0), (2, 2), (3, 1), (0, 1), (1, last),
                                (0, last), (last // 2, n + 4), (n, n + 1)):
-                    _same_blocks(_index_chunks(n, k, lo, hi, rows),
-                                 index_chunks_reference(n, k, lo, hi, rows))
-                    _same_blocks(_split_blocks(n, k, lo, hi, rows),
-                                 index_chunks_reference(n, k, lo, hi, rows))
-    assert widths == set(range(9))
+                    want = list(index_chunks_reference(n, k, lo, hi, rows))
+                    _same_blocks(_index_chunks(n, k, lo, hi, rows), want)
+                    _same_blocks(_split_blocks(n, k, lo, hi, rows), want)
+                    _same_blocks(_split_blocks(n, k, lo, hi, rows, table), want)
+    assert widths == set(range(9)) and spanned
 
 
 def test_width_zero_tail_sums():
@@ -411,6 +417,42 @@ def random_roots(rng, k, span=30):
 def test_compare_stats_workers_deterministic():
     cfg = LatticeConfig(r2=4, kgon=3)
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
+
+
+def test_scan_results_do_not_depend_on_block_size(monkeypatch):
+    # blocks of 7 rows split prefixes' tails, _CHUNK_ROWS holds each
+    # database here in one block; r2=3 k=8 compares on Python-int blocks.
+    # r2=5 k=4 (three default blocks) would take seconds in 7-row blocks
+    compare_cases = [(LatticeConfig(r2=r2, kgon=k), tie)
+                     for r2, k in ((4, 3), (4, 5), (3, 8), (5, 4))
+                     for tie in TIE_NAMES]
+    small = len(compare_cases) - len(TIE_NAMES)
+    maxdist_cases = [(LatticeConfig(r2=r2, kgon=k), args)
+                     for r2, k in ((4, 5), (5, 3))
+                     for args in itertools.product(dbgen.MAXDIST_METRICS,
+                                                   dbgen.MAXDIST_SCOPES,
+                                                   dbgen.MAXDIST_SCAN_US)]
+
+    def scan(rows, compared=len(compare_cases)):
+        monkeypatch.setattr(dbgen, "_SCAN_ROWS", rows)
+        return ([compare_stats(cfg, tie)
+                 for cfg, tie in compare_cases[:compared]],
+                [max_distance(cfg, *args) for cfg, args in maxdist_cases])
+
+    default = dbgen._SCAN_ROWS
+    whole = scan(_CHUNK_ROWS)
+    assert scan(default) == whole
+    assert scan(7, small) == (whole[0][:small], whole[1])
+    # when every key ties, the lexicographically first n-gon must win
+    monkeypatch.setattr(dbgen, "_distance_key",
+                        lambda metric, com_t, *_: np.zeros_like(com_t))
+    for rows in (7, default, _CHUNK_ROWS):
+        monkeypatch.setattr(dbgen, "_SCAN_ROWS", rows)
+        for cfg, args in maxdist_cases:
+            points = lattice_points(cfg.r2, cfg.region)
+            if args[1] == "positive-re":
+                points = [p for p in points if p[0] >= 1]
+            assert max_distance(cfg, *args).roots == tuple(points[:cfg.kgon])
 
 
 @st.composite
