@@ -60,8 +60,6 @@ import bisect
 import itertools
 import json
 import math
-import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -277,28 +275,9 @@ def _fan_out(fn, tasks, workers: int):
         for task in tasks:
             yield from fn(task)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_apart,
-                             initargs=(multiprocessing.Value("i", 0),)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for items in pool.map(_listed, itertools.repeat(fn), tasks):
             yield from items
-
-
-def _start_apart(counter):
-    """Pool initializer: move the i-th worker to the i-th allowed CPU, then
-    allow it every CPU again.  Forked workers may otherwise share their
-    parent's CPU for most of a second while another CPU idles: on a 2-CPU
-    KVM guest, after a 1.2 s single-process loop, both workers of a
-    2-worker pool got half a CPU each in 2 of 18 pools, none with this."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value += 1
-    if hasattr(os, "sched_setaffinity"):
-        allowed = sorted(os.sched_getaffinity(0))
-        try:
-            os.sched_setaffinity(0, {allowed[i % len(allowed)]})
-            os.sched_setaffinity(0, allowed)
-        except OSError:
-            pass
 
 
 def _listed(fn, task):

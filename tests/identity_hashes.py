@@ -3,15 +3,16 @@ leaves every result byte-identical.
 
 Run from a checkout, once on each tree to compare:
 
-    PYTHONPATH=src python tests/identity_hashes.py [--lines | --check] [recipe ...]
+    PYTHONPATH=src python tests/identity_hashes.py [--lines] [recipe ...]
 
 `--lines` prints each recipe's lines, prefixed by the recipe name, instead of
 their digest, so that two trees can be compared line by line with `diff`.
 
-`--check` also compares the `compare` and `db` digests with the values pinned
-in PINNED below and exits 1 if one differs.  Those results are exact-integer
-buckets and correctly rounded records, so no platform or refactor may move
-them; a change that means to move them re-pins PINNED in the same commit.
+The `compare` and `db` digests are also compared with the values pinned in
+PINNED below, and the script exits 1 if one differs.  Those results are
+exact-integer buckets and correctly rounded records, so no platform or
+refactor may move them; a change that means to move them re-pins PINNED in
+the same commit.
 
 Recipes (all by default):
   compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
@@ -150,9 +151,6 @@ if __name__ == "__main__":
             for line in RECIPES[name]():
                 print(f"{name}: {line}")
         sys.exit()
-    check = "--check" in args
-    if check:
-        args.remove("--check")
     moved = []
     for name in args or RECIPES:
         digest = hashlib.sha256()
@@ -162,7 +160,7 @@ if __name__ == "__main__":
             count += 1
         hexdigest = digest.hexdigest()
         print(f"{name}: {count} lines, sha256 {hexdigest}")
-        if check and name in PINNED and PINNED[name] != hexdigest:
+        if name in PINNED and PINNED[name] != hexdigest:
             moved.append(name)
     if moved:
         print(f"moved from the pinned digests: {', '.join(moved)}")

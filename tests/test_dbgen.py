@@ -2,8 +2,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -419,16 +417,6 @@ def random_roots(rng, k, span=30):
 def test_compare_stats_workers_deterministic():
     cfg = LatticeConfig(r2=4, kgon=3)
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
-
-
-def test_start_apart_counts_workers_and_pins_none():
-    # each call moves this process to one allowed CPU, then allows all again
-    allowed = os.sched_getaffinity(0)
-    counter = multiprocessing.Value("i", 0)
-    for _ in range(len(allowed) + 1):
-        dbgen._start_apart(counter)
-        assert os.sched_getaffinity(0) == allowed
-    assert counter.value == len(allowed) + 1
 
 
 def test_scan_results_do_not_depend_on_block_size(monkeypatch):
