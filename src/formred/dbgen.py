@@ -14,27 +14,25 @@ of exact integers, so every record equals `build_record` of its roots.
 Blocks run through the kernels single forms use, one numpy column per
 coefficient or point: the root-quadratic product, the Taylor shift and the
 (1/y) weights.
-The index blocks are built without per-row Python work: each k-subset is a
-short prefix and a tail of j indices, and the tails of a prefix are a suffix
-of one lexicographic table of the j-subsets, which j keeps within
-`_CHUNK_ROWS` = 200 000 rows (see `_split_chunks`).  That table is wide so
-that the Python loop over prefixes stays short.  The compare and max-distance
-scans cut it into blocks of `_SCAN_ROWS` = 16 384 rows, 128 KB per 8-byte
-column, so that their many per-block temporaries stay near a core's L2 cache
-and reuse the C allocator's heap pages: at 200 000 rows each was a fresh
-1.6 MB mapping, about 31 000 minor page faults per r2=20 k=3 max-distance
-scan against 1 400.  `_index_chunks`, which feeds the Julia report and the
-records, keeps whole 200 000-row blocks: freeing one raises glibc's mmap
-threshold, so the Julia solver's (rows, K) temporaries land on reused pages
-too, and 16 384-row blocks made the report slower.
+The k-subsets are walked without per-row Python work: each is a short
+prefix and a tail of j indices, and the tails of a prefix are a suffix
+`tails[start:]` of one lexicographic table of the j-subsets, which j keeps
+within `_CHUNK_ROWS` = 200 000 rows (see `_prefix_tails`).  That table is
+wide so that the Python loop over prefixes stays short.  The compare and
+max-distance scans take a prefix's tails in slices of `_SCAN_ROWS` = 16 384
+rows, 128 KB per 8-byte column, so that their many temporaries stay near a
+core's L2 cache and reuse the C allocator's heap pages: at 200 000 rows each
+was a fresh 1.6 MB mapping, about 31 000 minor page faults per r2=20 k=3
+max-distance scan against 1 400.  `_index_chunks`, which feeds the Julia
+report and the records, fills whole 200 000-row blocks from the same walk.
 
-The scans use that split.  Each engine computes, once per tail table, the
-tails' sums (sum x, sum y, prod y and the (1/y)-weighted s, F = sum w x and
-G = sum w |z|^2) and, for the comparison, the tails' coefficient columns;
-per block it only joins the prefixes' sums to them (`_join_sums`) and
-multiplies the tail forms by the prefixes' root quadratics.  These are the
-same integers the whole rows give, added in another order, so results are
-bit-identical wherever the arithmetic is exact:
+The scans compute, once per tail table, the tails' sums (sum x, sum y,
+prod y and the (1/y)-weighted s, F = sum w x and G = sum w |z|^2) and, for
+the comparison, the tails' coefficient columns; per prefix they join its
+sums to each slice of them by broadcasting (`_join_sums`) and multiply the
+tail forms by its root quadratics.  These are the same integers the whole
+rows give, added in another order, so results are bit-identical wherever
+the arithmetic is exact:
 
 - comparison: every term and partial sum of the prefix x tail product is
   at most a coefficient of prod (x^2 + |A_i| x + |B_i|) over the row's root
@@ -50,8 +48,8 @@ bit-identical wherever the arithmetic is exact:
   whole-row one, so a key may move in its last bits and a near-tie between
   two n-gons may go the other way.
 
-The comparison expands and shifts only the rows whose two shifts differ:
-equal shifts give equal heights, which count as the same result.
+The comparison gathers, expands and shifts only the rows whose two shifts
+differ: equal shifts give equal heights, which count as the same result.
 """
 
 from __future__ import annotations
@@ -60,6 +58,8 @@ import bisect
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -216,9 +216,9 @@ def generate_records(config: LatticeConfig, workers: int = 1):
 
 def _records_range(task):
     """Per index block, its NGonRecords: coefficients from `_expand_forms`,
-    com = (sum x / k, sum y / k) and, from the exact (1/y) weights w_i
-    (s = sum w_i, T = sum w_i x_i, S2 = sum w_i |z_i|^2), the fractions of
-    `hyperbolic_centroid`: hyp = (T / s, sqrt((S2 s - T^2) / s^2)).
+    com = (sum x / k, sum y / k) and, from the `_point_sums` of the exact
+    (1/y) weights w_i (s = sum w_i, T = sum w_i x_i, S2 = sum w_i |z_i|^2),
+    hyp = (T / s, sqrt((S2 s - T^2) / s^2)) as in `hyperbolic_centroid`.
 
     Each center is one division of exact integers, hence correctly rounded,
     as float(Fraction) is: Python int / int on object blocks, float64
@@ -229,20 +229,17 @@ def _records_range(task):
     points, k, dtype, lo, hi = task
     xs, ys = np.array(points, dtype=dtype).T
     for idx in _index_chunks(len(points), k, lo, hi):
-        X, Y = xs[idx], ys[idx]
-        W, s = _inverse_y_weights(Y.T)
-        T = sum(w * x for w, x in zip(W, X.T))
-        S2 = sum(w * (x * x + y * y) for w, x, y in zip(W, X.T, Y.T))
+        sx, sy, _, s, T, S2 = _point_sums(xs, ys, idx)
         usq = S2 * s - T * T
         assert (usq > 0).all(), \
             "centroid norm defect is positive for interior points"
         hyp_u = np.sqrt(np.asarray(usq / (s * s), dtype=np.float64))
-        coeffs = np.column_stack(_expand_forms(X, Y)[1:]).tolist()
+        coeffs = np.column_stack(_expand_forms(xs[idx], ys[idx])[1:]).tolist()
         yield from map(
             NGonRecord,
             [tuple(map(points.__getitem__, row)) for row in idx.tolist()],
             [(1, *row) for row in coeffs],
-            zip((X.sum(axis=1) / k).tolist(), (Y.sum(axis=1) / k).tolist()),
+            zip((sx / k).tolist(), (sy / k).tolist()),
             zip((T / s).tolist(), hyp_u.tolist()))
 
 
@@ -251,7 +248,7 @@ def _range_tasks(points, k: int, workers: int, *args):
     [lo, hi) of their first index.  One range when workers <= 1, else
     2 * workers ranges of about equal row counts (comb(n - 1 - i, k - 1)
     subsets start at index i): few, since each task builds its own tail
-    table (see `_split_chunks`), but enough that no worker waits long on
+    table (see `_prefix_tails`), but enough that no worker waits long on
     another.  When k exceeds the point count there is one empty range, so
     each engine still meets its own k > len(points) behaviour."""
     n = len(points)
@@ -275,9 +272,26 @@ def _fan_out(fn, tasks, workers: int):
         for task in tasks:
             yield from fn(task)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_apart,
+                             initargs=(multiprocessing.Value("i", 0),)) as pool:
         for items in pool.map(_listed, itertools.repeat(fn), tasks):
             yield from items
+
+
+def _start_apart(counter):
+    """Pool initializer: move the i-th worker to the i-th allowed CPU, then
+    allow it every CPU again.  Forked workers may otherwise share their
+    parent's CPU for most of a second while another CPU idles."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value += 1
+    if hasattr(os, "sched_setaffinity"):
+        allowed = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {allowed[i % len(allowed)]})
+            os.sched_setaffinity(0, allowed)
+        except OSError:
+            pass
 
 
 def _listed(fn, task):
@@ -293,7 +307,7 @@ def _subset_table(n: int, j: int) -> np.ndarray:
 
     Those whose first entry exceeds p are the j-subsets of range(p + 1, n):
     the last comb(n - 1 - p, j) rows.  So the i-subsets are each a, followed
-    by that suffix of the (i - 1)-subsets, and `_index_chunks` takes the
+    by that suffix of the (i - 1)-subsets, and `_prefix_tails` takes the
     tails of a prefix ending at p as the same suffix."""
     table = np.zeros((1, 0), dtype=np.int64)
     for i in range(1, j + 1):
@@ -304,10 +318,10 @@ def _subset_table(n: int, j: int) -> np.ndarray:
 
 
 def _tail_table(n: int, k: int, rows: int = _CHUNK_ROWS) -> np.ndarray:
-    """`_subset_table(n, j)` for the tail width j of `_split_chunks`: the
+    """`_subset_table(n, j)` for the tail width j of `_prefix_tails`: the
     largest j <= k - 1 for which every i-subset table with i <= j has at
-    most `rows` rows, which bounds the table and its construction.  Blocks
-    may be smaller than the table (see `_SCAN_ROWS`).  j <= n keeps the
+    most `rows` rows, which bounds the table and its construction.  The
+    scans' slices may be shorter (see `_SCAN_ROWS`).  j <= n keeps the
     table buildable when k > n."""
     j = 0
     while j < min(k - 1, n) and math.comb(n, j + 1) <= rows:
@@ -315,60 +329,42 @@ def _tail_table(n: int, k: int, rows: int = _CHUNK_ROWS) -> np.ndarray:
     return _subset_table(n, j)
 
 
-def _split_chunks(n: int, k: int, lo: int, hi: int, tails: np.ndarray,
-                  rows: int):
+def _prefix_tails(n: int, k: int, lo: int, hi: int, tails: np.ndarray):
     """The k-subsets of range(n) whose first index lies in [lo, hi), in
-    lexicographic order, as blocks (P, T) of `rows` rows (the last block may
-    be shorter); none when k > n.  Row r is the prefix P[r] of k - j indices,
-    from `enumerate_ngons`, followed by the tail `tails[T[r]]` of j, where
-    `tails` is `_tail_table(n, k, r)` for any r: the tails after a prefix
-    ending at p are the table's last comb(n - 1 - p, j) rows, split over
-    several blocks where they are more than `rows`.  So an engine can
-    compute what it needs of the tails once per table, and per block only
-    combine it with the prefixes."""
-    hi = min(hi, n - k + 1)
-    if lo >= hi:
-        return
+    lexicographic order, as pairs (prefix, start): a prefix of k - j indices
+    from `enumerate_ngons`, followed by each of its tails `tails[start:]`
+    (maybe none), where `tails` is `_tail_table(n, k, r)` for any r: after a
+    prefix ending at p, the last comb(n - 1 - p, j) rows.  No pairs when
+    k > n."""
     size, j = tails.shape
-    prefixes, starts, takes, fill = [], [], [], 0
-    for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
-        start = size - math.comb(n - 1 - prefix[-1], j)
-        while start < size:
-            take = min(size - start, rows - fill)
-            prefixes.append(prefix)
-            starts.append(start)
-            takes.append(take)
-            fill += take
-            start += take
-            if fill == rows:
-                yield _split_block(prefixes, starts, takes)
-                prefixes, starts, takes, fill = [], [], [], 0
-    if fill:
-        yield _split_block(prefixes, starts, takes)
-
-
-def _split_block(prefixes, starts, takes):
-    # each run of `take` rows repeats one prefix over consecutive tail rows
-    takes = np.array(takes, dtype=np.int64)
-    ends = np.cumsum(takes)
-    P = np.repeat(np.array(prefixes, dtype=np.int64), takes, axis=0)
-    T = np.repeat(np.array(starts, dtype=np.int64) - (ends - takes), takes)
-    return P, T + np.arange(ends[-1])
+    if k <= n:
+        for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
+            yield prefix, size - math.comb(n - 1 - prefix[-1], j)
 
 
 def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
-    """The blocks of `_split_chunks` as whole index rows: `rows` k-subsets
-    of range(n) whose first index lies in [lo, hi), in lexicographic order
-    (the last block may be shorter); none when k > n."""
+    """The k-subsets of range(n) whose first index lies in [lo, hi), in
+    lexicographic order, as blocks of `rows` whole index rows (the last may
+    be shorter) filled from `_prefix_tails`; none when k > n."""
     tails = _tail_table(n, k, rows)
-    for P, T in _split_chunks(n, k, lo, hi, tails, rows):
-        # a view of a whole `rows`-row block: freeing a block that large
-        # raises glibc's mmap and trim thresholds, so the callers' later
-        # temporaries reuse heap pages (an exact-size block cost each
-        # r2=4 k=5 Julia report about 1 900 page faults and 15 % of its time)
-        block = np.empty((rows, k), dtype=np.int64)[:len(T)]
-        block[:, :P.shape[1]], block[:, P.shape[1]:] = P, tails[T]
-        yield block
+    size, j = tails.shape
+    fill = rows
+    for prefix, start in _prefix_tails(n, k, lo, hi, tails):
+        while start < size:
+            if fill == rows:
+                # whole `rows`-row blocks (the last cut to a view): freeing
+                # one raises glibc's mmap and trim thresholds, so the callers'
+                # temporaries reuse heap pages (an exact-size block cost each
+                # r2=4 k=5 Julia report about 1 900 faults and 15 % of its time)
+                block, fill = np.empty((rows, k), dtype=np.int64), 0
+            take = min(size - start, rows - fill)
+            part = block[fill:fill + take]
+            part[:, :k - j], part[:, k - j:] = prefix, tails[start:start + take]
+            fill, start = fill + take, start + take
+            if fill == rows:
+                yield block
+    if fill < rows:
+        yield block[:fill]
 
 
 def _point_sums(xs: np.ndarray, ys: np.ndarray, idx: np.ndarray,
@@ -427,18 +423,19 @@ def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):
 
 
 def _maxdist_range(task):
-    """Per index block: the largest distance key and its (first) index set."""
+    """Per tail slice: the largest distance key and its (first) index set."""
     points, k, metric, scan_u, lo, hi = task
     xs, ys = np.array(points, dtype=np.float64).T
     n, norms = len(points), scan_u == "definition"
     tails = _tail_table(n, k)
     tail_sums = _point_sums(xs, ys, tails, norms)
-    for P, T in _split_chunks(n, k, lo, hi, tails, _SCAN_ROWS):
-        sums = _join_sums(_point_sums(xs, ys, P, norms),
-                          [col[T] for col in tail_sums])
-        key = _distance_key(metric, *_centers(sums, k, scan_u))
-        j = int(np.argmax(key))
-        yield float(key[j]), (*P[j].tolist(), *tails[T[j]].tolist())
+    for prefix, start in _prefix_tails(n, k, lo, hi, tails):
+        head = _point_sums(xs, ys, np.array([prefix]), norms)
+        for a in range(start, len(tails), _SCAN_ROWS):
+            sums = _join_sums(head, [col[a:a + _SCAN_ROWS] for col in tail_sums])
+            key = _distance_key(metric, *_centers(sums, k, scan_u))
+            i = int(np.argmax(key))
+            yield float(key[i]), (*prefix, *tails[a + i].tolist())
 
 
 def max_distance(config: LatticeConfig, metric: str | None = None,
@@ -531,7 +528,7 @@ def _int64_safe(r2: int, k: int) -> bool:
 
 
 def _compare_range(task):
-    """Per index block: (rows, hyperbolic wins, julia wins, same).  Rows
+    """Per tail slice: (rows, hyperbolic wins, julia wins, same).  Rows
     whose two shifts are equal have equal heights, so only the others are
     expanded and shifted (see `compare_stats`)."""
     points, k, tie, dtype, lo, hi = task
@@ -540,19 +537,21 @@ def _compare_range(task):
     tails = _tail_table(n, k)
     tail_sums = _point_sums(xs, ys, tails, norms=False)
     tail_coeffs = _expand_forms(xs[tails], ys[tails])
-    for P, T in _split_chunks(n, k, lo, hi, tails, _SCAN_ROWS):
-        sx, _, _, s, F = _join_sums(_point_sums(xs, ys, P, norms=False),
-                                    [col[T] for col in tail_sums])
-        m_com = _shifts_from_ratio(sx, k, tie)
-        m_hyp = _shifts_from_ratio(F, s, tie)
-        d = np.flatnonzero(m_com != m_hyp)
-        Pd, Td = P[d], T[d]
-        coeffs = _expand_forms(xs[Pd], ys[Pd],
-                               [1, *(col[Td] for col in tail_coeffs[1:])])
-        h_com = _shift_heights(coeffs, m_com[d])
-        h_hyp = _shift_heights(coeffs, m_hyp[d])
-        hyp, julia = int((h_hyp < h_com).sum()), int((h_com < h_hyp).sum())
-        yield len(P), hyp, julia, len(P) - hyp - julia
+    for prefix, start in _prefix_tails(n, k, lo, hi, tails):
+        head = np.array([prefix])
+        head_sums = _point_sums(xs, ys, head, norms=False)
+        for a in range(start, len(tails), _SCAN_ROWS):
+            sx, _, _, s, F = _join_sums(
+                head_sums, [col[a:a + _SCAN_ROWS] for col in tail_sums])
+            m_com = _shifts_from_ratio(sx, k, tie)
+            m_hyp = _shifts_from_ratio(F, s, tie)
+            d = np.flatnonzero(m_com != m_hyp)
+            coeffs = _expand_forms(xs[head], ys[head],
+                                   [1, *(col[a + d] for col in tail_coeffs[1:])])
+            h_com = _shift_heights(coeffs, m_com[d])
+            h_hyp = _shift_heights(coeffs, m_hyp[d])
+            hyp, julia = int((h_hyp < h_com).sum()), int((h_com < h_hyp).sum())
+            yield len(s), hyp, julia, len(s) - hyp - julia
 
 
 def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,

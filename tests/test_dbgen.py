@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,8 @@ from formred import (CompareStats, LatticeConfig, build_record,
 from formred import dbgen
 from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
                            _index_chunks, _int64_safe, _join_sums,
-                           _point_sums, _range_tasks, _shift_heights,
-                           _shifts_from_ratio, _split_chunks, _tail_table)
+                           _point_sums, _prefix_tails, _range_tasks,
+                           _shift_heights, _shifts_from_ratio, _tail_table)
 from formred.hyper import _inverse_y_weights
 from oracles import (compare_record, index_chunks_reference,
                      inverse_y_weights, julia_report_oracle,
@@ -90,15 +92,18 @@ def _same_blocks(got, want):
 
 
 def _split_blocks(n, k, lo, hi, rows=_CHUNK_ROWS, tails=None):
-    # the split blocks joined back into whole index rows; the tail table
-    # defaults to the one of the same `rows`
+    # the (prefix, start) pairs joined back into whole index rows, in blocks
+    # of `rows`; the tail table defaults to the one of the same `rows`
     if tails is None:
         tails = _tail_table(n, k, rows)
-    for P, T in _split_chunks(n, k, lo, hi, tails, rows):
-        assert P.dtype == T.dtype == np.int64
-        assert P.shape == (len(T), k - tails.shape[1])
-        assert len(T) and 0 <= T.min() and T.max() < len(tails)
-        yield np.hstack((P, tails[T]))
+    combos = []
+    for prefix, start in _prefix_tails(n, k, lo, hi, tails):
+        assert len(prefix) == k - tails.shape[1]
+        assert 0 <= start <= len(tails)
+        combos += [prefix + tuple(tail) for tail in tails[start:].tolist()]
+    full = np.array(combos, dtype=np.int64).reshape(-1, k)
+    for a in range(0, len(full), rows):
+        yield full[a:a + rows]
 
 
 def test_index_chunks_match_reference():
@@ -196,7 +201,7 @@ def test_unknown_conventions_rejected_before_the_scan(monkeypatch):
         raise AssertionError("scan started")
 
     monkeypatch.setattr(dbgen, "_index_chunks", unreachable)
-    monkeypatch.setattr(dbgen, "_split_chunks", unreachable)
+    monkeypatch.setattr(dbgen, "_prefix_tails", unreachable)
     monkeypatch.setattr(dbgen, "_fan_out", unreachable)
     for cfg in (LatticeConfig(r2=4, kgon=3), LatticeConfig(r2=2, kgon=9)):
         for workers in (1, 2):
@@ -419,6 +424,29 @@ def test_compare_stats_workers_deterministic():
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity calls on this platform")
+def test_start_apart_starts_workers_on_distinct_cpus(monkeypatch):
+    # worker i is first moved to the i-th allowed CPU alone, then allowed
+    # every CPU again; the counter numbers the workers
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    masks = []
+    setaffinity = os.sched_setaffinity
+
+    def recorded(pid, mask):
+        masks.append(set(mask))
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    counter = multiprocessing.Value("i", 0)
+    for i in range(len(cpus) + 1):
+        dbgen._start_apart(counter)
+        assert masks[-2:] == [{cpus[i % len(cpus)]}, allowed]
+        assert os.sched_getaffinity(0) == allowed
+    assert counter.value == len(cpus) + 1
+
+
 def test_scan_results_do_not_depend_on_block_size(monkeypatch):
     # blocks of 7 rows split prefixes' tails, _CHUNK_ROWS holds each
     # database here in one block; r2=3 k=8 compares on Python-int blocks.
@@ -453,6 +481,41 @@ def test_scan_results_do_not_depend_on_block_size(monkeypatch):
             if args[1] == "positive-re":
                 points = [p for p in points if p[0] >= 1]
             assert max_distance(cfg, *args).roots == tuple(points[:cfg.kgon])
+
+
+def test_scans_with_multi_point_prefixes(monkeypatch):
+    # tail tables of at most 20 rows leave prefixes of 2 to 4 points (the
+    # r2=7 k=5 whole region has 2 with the default table), some of them with
+    # no tails, and of 7 at r2=3 k=8, which compares on Python ints
+    compare_cases = [(cfg, tie)
+                     for cfg in (LatticeConfig(r2=4, kgon=3),
+                                 LatticeConfig(r2=4, kgon=5,
+                                               region="positive-re"),
+                                 LatticeConfig(r2=3, kgon=8))
+                     for tie in TIE_NAMES]
+    maxdist_cases = [(LatticeConfig(r2=4, kgon=k), args)
+                     for k in (3, 4)
+                     for args in itertools.product(dbgen.MAXDIST_METRICS,
+                                                   dbgen.MAXDIST_SCOPES,
+                                                   dbgen.MAXDIST_SCAN_US)]
+
+    def scan():
+        return ([compare_stats(cfg, tie) for cfg, tie in compare_cases],
+                [max_distance(cfg, *args) for cfg, args in maxdist_cases],
+                list(generate_records(LatticeConfig(r2=3, kgon=8))))
+
+    want = scan()
+    tail_table = dbgen._tail_table
+    widths = set()
+
+    def capped(n, k, rows=_CHUNK_ROWS):
+        table = tail_table(n, k, min(rows, 20))
+        widths.add(k - table.shape[1])
+        return table
+
+    monkeypatch.setattr(dbgen, "_tail_table", capped)
+    assert scan() == want
+    assert widths == {2, 3, 4, 7}
 
 
 @st.composite
