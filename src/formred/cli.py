@@ -42,8 +42,11 @@ def _parse_coeffs(text: str) -> BinaryForm:
 
 
 def _workers(text: str) -> int:
-    """--workers: reject counts below 1, clamp to the CPU count."""
-    n = int(text)
+    """--workers: an integer of at least 1, clamped to the CPU count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return min(n, os.cpu_count() or 1)

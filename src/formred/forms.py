@@ -353,103 +353,113 @@ def _gauss_horner(coeffs: Sequence[int], a: int, b: int, e: int):
     return pr, pi, dr, di
 
 
-# Henrici discs must stay apart, and off the real axis, by this factor
-# times their radii; it absorbs the rounding of the float radii.
-_DISC_SAFETY = 2.0
+def _double_roots(coeffs: Sequence[int]):
+    """numpy's roots, each polished by _polish_root, and whether any is ill."""
+    polished = [_polish_root(coeffs, complex(z))
+                for z in np.roots([float(c) for c in coeffs])]
+    return [z for z, _ in polished], any(ill for _, ill in polished)
 
 
-def _roots_exact_refined(coeffs: Sequence[int], start: Sequence[complex]):
-    """Every root refined by Newton steps evaluated exactly over the Gaussian
-    integers, or None when the refinement cannot certify them.
-
-    Each start is put on the grid 2^-e, e = 84 - (binary exponent of the
-    root): about 30 bits below the double's ulp.  At most 8 Newton steps,
-    rounded to the grid, stop at p = 0 or at a zero step.  The disc of radius
-    n |p / p'| about a point holds a root (Henrici, Applied and Computational
-    Complex Analysis I, 1974, section 6.4).  The roots are certified when each
-    radius is below 2^(exponent - 75), about 2^-22 of an ulp (converged), the
-    widened discs are pairwise disjoint (one root each), and no disc of a
-    non-real center reaches the real axis (real/upper split).  Each root is
-    then returned as its grid point correctly rounded to doubles.
-    """
-    n = len(coeffs) - 1
-    discs = []  # (a, b, e, radius in grid units)
-    for z in start:
-        az = abs(z)
-        e = 84 - math.frexp(az)[1]
-        if not math.isfinite(az) or e < 0:
-            return None
-        a, b = round(math.ldexp(z.real, e)), round(math.ldexp(z.imag, e))
-        for step in range(9):
-            pr, pi, dr, di = _gauss_horner(coeffs, a, b, e)
-            dd = dr * dr + di * di
-            if pr == pi == 0 or dd == 0 or step == 8:
-                break
-            # the grid step is P / P' = P conj(P') / |P'|^2, rounded
-            sr = (2 * (pr * dr + pi * di) + dd) // (2 * dd)
-            si = (2 * (pi * dr - pr * di) + dd) // (2 * dd)
-            if sr == si == 0:
-                break
-            a, b = a - sr, b - si
-        pp = pr * pr + pi * pi
-        # convergence: n |P / P'| < 2^9 grid units, i.e. 2^(exponent - 75)
-        if dd == 0 or n * n * pp >= dd << 18:
-            return None
-        discs.append((a, b, e, n * math.sqrt(pp / dd)))
+def _separated(discs) -> bool:
+    """Whether the discs about (a + bi) / 2^e of radius r / 2^e, widened by 2
+    for the rounding of r, are disjoint and, unless b = 0, off the real axis."""
     for k, (a, b, e, r) in enumerate(discs):
-        if b != 0 and abs(b) <= _DISC_SAFETY * r:
-            return None
+        if b != 0 and abs(b) <= 2 * r:
+            return False
         for a2, b2, e2, r2 in discs[:k]:
             top = max(e, e2)
             da = (a << (top - e)) - (a2 << (top - e2))
             db = (b << (top - e)) - (b2 << (top - e2))
-            reach = _DISC_SAFETY * (math.ldexp(r, top - e)
-                                    + math.ldexp(r2, top - e2))
+            reach = 2 * (math.ldexp(r, top - e) + math.ldexp(r2, top - e2))
             if da * da + db * db <= reach * reach:
-                return None
-    return [complex(a / 2**e, b / 2**e) for a, b, e, _ in discs]
+                return False
+    return True
+
+
+def _sweep(coeffs: Sequence[int], w: list, e: int) -> bool:
+    """One in-place Weierstrass (Durand-Kerner) sweep over the points a + bi
+    of the grid 2^-e: w_i -= P conj(Q) / |Q|^2 rounded, Q = c_0 prod_{j != i}
+    (w_i - w_j), where a coincident w_j counts 1.  Whether any point moved."""
+    old = w[:]
+    for i, (a, b) in enumerate(w):
+        pr, pi, _, _ = _gauss_horner(coeffs, a, b, e)
+        qr, qi = coeffs[0], 0
+        for a2, b2 in w[:i] + w[i + 1:]:
+            da, db = (a - a2, b - b2) if (a, b) != (a2, b2) else (1 << e, 0)
+            qr, qi = qr * da - qi * db, qr * db + qi * da
+        qq = qr * qr + qi * qi
+        w[i] = (a - (2 * (pr * qr + pi * qi) + qq) // (2 * qq),
+                b - (2 * (pi * qr - pr * qi) + qq) // (2 * qq))
+    return w != old
 
 
 def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
-    """All roots at once by arbitrary-precision Durand-Kerner, started from
-    the double-precision roots; None when the iteration does not converge
-    (genuinely repeated roots)."""
-    import mpmath as mp
-
-    for dps, extraprec in ((40, 160), (80, 400)):
-        try:
-            with mp.workdps(dps):
-                rs, err = mp.polyroots(coeffs, maxsteps=300,
-                                       extraprec=extraprec, error=True,
-                                       roots_init=start)
-                scale = 1 + max(abs(complex(z)) for z in rs)
-                if err <= 1e-14 * scale:
-                    return [complex(z) for z in rs]
-        except (mp.libmp.NoConvergence, ZeroDivisionError):
+    """Every root, certified from the double roots `start` by exact steps on
+    Gaussian integers (_gauss_horner).  Pass 1: for each start, at most 8
+    Newton steps P conj(P') / |P'|^2 rounded to its own grid 2^-e, e =
+    max(0, 84 - binary exponent), to P = 0 or a zero step.  Later passes:
+    _sweep on one grid for all roots, 64 bits finer each pass.  A pass
+    certifies when every Henrici disc of radius n |P / P'| (Applied and
+    Computational Complex Analysis I, 1974, 6.4) is below 2^(exponent - 75)
+    and the discs are _separated; a root is its grid point correctly rounded.
+    After pass 1 fails, squarefree runs once: a repeated root's factors are
+    solved one by one, a squarefree polynomial by later passes, which raise
+    ConvergenceError past 64 bits below Mahler's bound or at a non-finite start.
+    """
+    out, parts, todo = [], None, [(coeffs, start, True, 1)]
+    while todo:
+        coeffs, start, ill, m = todo.pop()
+        if not ill:
+            out += start * m
             continue
-    return None
-
-
-def _roots(coeffs: Sequence[int], split: bool = True) -> list[complex]:
-    """All roots of the polynomial with these integer coefficients (leading
-    one nonzero): doubles when they certify every root, else the exact
-    refinement; failing that, when the polynomial is not squarefree, the
-    roots of each squarefree factor (found the same way) repeated by its
-    multiplicity, and otherwise the arbitrary-precision solver."""
-    raw = np.roots([float(c) for c in coeffs])
-    polished = [_polish_root(coeffs, complex(z)) for z in raw]
-    roots = [z for z, _ in polished]
-    if not any(ill for _, ill in polished):
-        return roots
-    redo = _roots_exact_refined(coeffs, roots)
-    if redo is not None:
-        return redo
-    if split:
-        parts = squarefree(coeffs)
-        if any(m > 1 for _, m in parts):
-            return [z for factor, m in parts
-                    for z in _roots(factor, split=False) for _ in range(m)]
-    return _roots_high_precision(coeffs, roots) or roots
+        if not all(math.isfinite(abs(z)) for z in start):
+            raise ConvergenceError(f"no finite double roots of {coeffs}")
+        n, exps = len(coeffs) - 1, [math.frexp(abs(z))[1] for z in start]
+        top = max(0, 84 - min(exps))  # the grid of the first later pass
+        # Mahler (Michigan Math. J. 11, 1964): roots over 2^(top + 64 - cap) apart
+        cap = top + 64 + n * (n + sum(c * c for c in coeffs).bit_length())
+        for e in [None, *range(top, cap + 1, 64)]:
+            if e is not None:  # later passes: at most 32 sweeps, until none moves
+                w = [(a << 64, b << 64) for a, b in w] if e > top else [
+                    (round(math.ldexp(z.real, e)), round(math.ldexp(z.imag, e)))
+                    for z in start]
+                all(_sweep(coeffs, w, e) for _ in range(32))
+            discs = []  # (a, b, grid exponent, radius in grid units)
+            for i, (z, x) in enumerate(zip(start, exps)):
+                if e is None:
+                    g = max(0, 84 - x)
+                    a, b = round(math.ldexp(z.real, g)), round(math.ldexp(z.imag, g))
+                    for step in range(9):
+                        pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
+                        dd = dr * dr + di * di
+                        if pr == pi == 0 or dd == 0 or step == 8:
+                            break
+                        sr = (2 * (pr * dr + pi * di) + dd) // (2 * dd)
+                        si = (2 * (pi * dr - pr * di) + dd) // (2 * dd)
+                        if sr == si == 0:
+                            break
+                        a, b = a - sr, b - si
+                else:
+                    g, (a, b) = e, w[i]
+                    pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
+                    dd = dr * dr + di * di
+                pp = pr * pr + pi * pi
+                # n |P / P'| < 2^(exponent - 75), in pass 1 2^9 grid units
+                if dd == 0 or n * n * pp >= dd << 2 * (g + x - 75):
+                    break
+                discs.append((a, b, g, n * math.sqrt(pp / dd)))
+            if len(discs) == n and _separated(discs):
+                break
+            if parts is None:
+                parts = squarefree(coeffs)
+                if any(k > 1 for _, k in parts):
+                    todo = [(f, *_double_roots(f), k) for f, k in parts]
+                    discs = []
+                    break
+        else:
+            raise ConvergenceError(f"roots of {coeffs} not certified")
+        out += [complex(a / 2**g, b / 2**g) for a, b, g, _ in discs] * m
+    return out
 
 
 def roots_upper(f: BinaryForm) -> UpperRootSet:
@@ -459,14 +469,10 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
     upper, |Im| at most that band as real, the rest as lower-half conjugates;
     two roots within that band are repeated.  Leading zero coefficients
     become real roots at infinity (repeated when there are two or more).
-    When double precision cannot certify a root (clustered configurations),
-    every root is refined by Newton steps evaluated exactly over the Gaussian
-    integers and certified by Henrici inclusion discs.  When those discs
-    cannot separate a cluster and f has repeated roots, each factor of its
-    squarefree decomposition is solved the same way and its roots repeated
-    by the exact multiplicity; only a squarefree f is then redone with an
-    arbitrary-precision solver.  Raises ConvergenceError when conjugates
-    still fail to pair up.
+    Doubles stand when they certify every root; otherwise the one exact
+    route, _roots_high_precision, certifies them all (Newton per root, then
+    the squarefree split or Weierstrass sweeps).  Raises ConvergenceError
+    when that fails or when conjugates still fail to pair up.
     """
     tol = 1e-8
     coeffs = _strip(list(f.coeffs))
@@ -475,7 +481,8 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
         # f = c * y^n: the only root is at infinity, with multiplicity n.
         return UpperRootSet(upper=(), real=(math.inf,) * f.degree,
                             repeated=f.degree > 1)
-    roots = _roots(coeffs)
+    roots, ill = _double_roots(coeffs)
+    roots = _roots_high_precision(coeffs, roots) if ill else roots
     upper: list[complex] = []
     lower: list[complex] = []
     real: list[float] = []

@@ -81,9 +81,9 @@ def q_reduce(Q: QuadraticForm):
 
     Returns (Q', M) with q_transform(Q, M) == Q', q_is_reduced(Q') true and
     the discriminant preserved.  Boundary ties (|b| = a or a = c) are
-    normalized to b >= 0."""
-    if not q_is_positive_definite(Q):
-        raise DomainError(f"{Q} is not positive definite")
+    normalized to b >= 0; other forms (say a = 1.5) raise DomainError."""
+    if not q_is_positive_definite(Q) or any(v % 1 for v in (Q.a, Q.b, Q.c)):
+        raise DomainError(f"{Q} is not a positive definite integer form")
     a, b, c = int(Q.a), int(Q.b), int(Q.c)
     M = UnimodularMatrix.identity()
     S = UnimodularMatrix.inversion()

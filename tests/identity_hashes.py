@@ -8,10 +8,12 @@ Run from a checkout, once on each tree to compare:
 `--lines` prints each recipe's lines, prefixed by the recipe name, instead of
 their digest, so that two trees can be compared line by line with `diff`.
 
-The `compare`, `db` and `julia` digests are also compared with the values
-pinned in PINNED below, and the script exits 1 if one differs.  The first
-two are exact-integer buckets and correctly rounded records, so no platform
-or refactor may move them.  The Julia report counts shifts of float zeros,
+The `compare`, `db`, `cli` and `julia` digests are also compared with the
+values pinned in PINNED below, and the script exits 1 if one differs.  The
+first two are exact-integer buckets and correctly rounded records, so no
+platform or refactor may move them.  The cli digest holds the `reduce` and
+`minimize` JSON of forms that take each stage-1 route, so it guards the
+root layer that feeds them.  The Julia report counts shifts of float zeros,
 but a zero within 1e-9 of a half-integer counts as the exact tie, and that
 band absorbs last-bit changes of the solver: the digest has not moved since
 the batched solver came in, through changes that moved zeros in their last
@@ -143,6 +145,7 @@ RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
 PINNED = {
     "compare": "cee85b9e580720dd84370a04199e62e2eab6b35a5f28f32d3ef406506cfc8228",
     "db": "211e5158009a6375b88d3c03a936fdb1d73a3bf91454dd73a63f9329db28c8f0",
+    "cli": "492738aca1838ab54bc5407313f1f56087483f63fc44f82d7f28fa72a7fad3b6",
     "julia": "ef30d0a9870ea45107365796921950f124de42b2ab88618a92c1f1c89aee140d",
 }
 

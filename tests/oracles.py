@@ -435,3 +435,37 @@ def theta0_log_gradient(real_roots, upper_roots, t, u, degree):
          - mk for pk, (al, be, ga), mk in zip(p, rows, m)]
     mean = sum(G) / len(G)  # the scaling direction is null
     return [float(g - mean) for g in G]
+
+
+def rounded_roots(coeffs_descending):
+    """The roots of an integer polynomial, each rounded to doubles, with
+    multiplicity: (real roots ascending, upper half-plane roots by (t, u)).
+
+    Each irreducible factor's real roots come from sympy's exact real root
+    isolation (Poly.intervals), bisected in exact rationals until both ends
+    round to the same double, so they are correctly rounded.  Upper roots
+    come from sympy's nroots at 30 digits."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(coeffs_descending), x)
+    real, upper = [], []
+    # an irreducible factor of degree 2 or more changes sign at each real
+    # root and vanishes at no rational interval end
+    for factor, m in poly.factor_list()[1]:
+        for (lo, hi), _ in factor.intervals():
+            lo, hi = (Fraction(int(lo.p), int(lo.q)),
+                      Fraction(int(hi.p), int(hi.q)))
+            sign_lo = factor.eval(lo) > 0
+            while float(lo) != float(hi):
+                mid = (lo + hi) / 2
+                if (factor.eval(mid) > 0) == sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            real += [float(lo)] * m
+        for z in factor.nroots(n=30, maxsteps=200):
+            z = complex(z)
+            if z.imag > 0:
+                upper += [(z.real, z.imag)] * m
+    return sorted(real), sorted(upper)

@@ -13,12 +13,19 @@ BASE = {
 
 @pytest.mark.parametrize("command", sorted(BASE))
 def test_workers_rejected_below_one(command, capsys):
+    # and non-integers, with a message that names the option, not the
+    # parsing function
     parser = cli.build_parser()
-    for bad in ("0", "-3", "two"):
+    for bad, why in (("0", "must be at least 1, got 0"),
+                     ("-3", "must be at least 1, got -3"),
+                     ("two", "must be an integer, got 'two'"),
+                     ("1.5", "must be an integer, got '1.5'"),
+                     ("", "must be an integer, got ''")):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(BASE[command] + ["--workers", bad])
         assert exc.value.code == 1
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument --workers: {why}" in err and "_workers" not in err
 
 
 @pytest.mark.parametrize("command", sorted(BASE))

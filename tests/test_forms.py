@@ -1,16 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from functools import reduce as fold
 
 import numpy as np
 import pytest
 
-from formred import (BinaryForm, UhpPoint, UnimodularMatrix, content,
-                     from_upper_roots, height, primitive, roots_upper, shift,
-                     transform)
+from formred import (BinaryForm, ConvergenceError, UhpPoint, UnimodularMatrix,
+                     content, from_upper_roots, height, primitive, roots_upper,
+                     shift, transform)
 from formred import forms
 from formred.dbgen import enumerate_ngons, lattice_points
 from formred.forms import _quadratic_product, _taylor_shift
-from conftest import TRIANGLE_COEFFS, random_form, random_upper_points
+from conftest import (TRIANGLE_COEFFS, TRIANGLE_ROOTS, random_form,
+                      random_upper_points)
 from oracles import binomial_shift, poly_mul
 
 
@@ -132,30 +138,31 @@ def _spy(monkeypatch, name):
 
 def test_ill_pentagon_roots_certified_exactly(monkeypatch):
     # every r2=4 pentagon whose double-precision polish flags an ill root
-    # (208 of 11 628 with numpy 2.4) is certified by the exact refinement,
-    # which lands on its Gaussian-integer roots
-    refined = _spy(monkeypatch, "_roots_exact_refined")
-    fallback = _spy(monkeypatch, "_roots_high_precision")
+    # (208 of 11 628 with numpy 2.4) is certified by pass 1 of the exact
+    # route, which lands on its Gaussian-integer roots: squarefree and the
+    # later passes never run
+    exact = _spy(monkeypatch, "_roots_high_precision")
     split = _spy(monkeypatch, "squarefree")
+    sweeps = _spy(monkeypatch, "_sweep")
     escalated = 0
     for roots in enumerate_ngons(lattice_points(4), 5):
         f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
         rs = roots_upper(f)
         # minimize asks for the squarefree factors only of repeated roots
         assert not rs.repeated
-        if len(refined) > escalated:
+        if len(exact) > escalated:
             escalated += 1
-            exact = sorted([complex(x, y) for x, y in roots]
-                           + [complex(x, -y) for x, y in roots],
-                           key=lambda z: (z.real, z.imag))
-            assert sorted(refined[-1], key=lambda z: (z.real, z.imag)) == exact
+            want = sorted([complex(x, y) for x, y in roots]
+                          + [complex(x, -y) for x, y in roots],
+                          key=lambda z: (z.real, z.imag))
+            assert sorted(exact[-1], key=lambda z: (z.real, z.imag)) == want
             assert [(p.t, p.u) for p in rs.upper] == [
                 (float(x), float(y)) for x, y in sorted(roots)]
-    assert escalated > 0 and fallback == [] and split == []
+    assert escalated > 0 and split == [] and sweeps == []
 
 
-# results of the arbitrary-precision path, pinned from before the exact
-# refinement existed
+# roots pinned from the arbitrary-precision solver that the exact route
+# replaced
 _UNCERTIFIED = [
     # a clustered septic: 8 exact Newton steps leave its centers short of
     # the convergence bound, though their discs are already disjoint
@@ -171,12 +178,26 @@ _UNCERTIFIED = [
                          ids=["clustered-septic"])
 def test_uncertified_roots_fall_back_to_high_precision(
         coeffs, upper, real, repeated, monkeypatch):
-    refined = _spy(monkeypatch, "_roots_exact_refined")
-    fallback = _spy(monkeypatch, "_roots_high_precision")
+    # pass 1 fails; squarefree, asked once, finds no repeated root; the
+    # Weierstrass passes then certify the roots the old solver gave
+    exact = _spy(monkeypatch, "_roots_high_precision")
+    split = _spy(monkeypatch, "squarefree")
+    sweeps = _spy(monkeypatch, "_sweep")
     rs = roots_upper(BinaryForm(coeffs))
-    assert refined == [None] and len(fallback) == 1
+    assert len(exact) == 1 and len(sweeps) > 0
+    assert [[m for _, m in parts] for parts in split] == [[1]]
     assert [(p.t, p.u) for p in rs.upper] == list(upper)
     assert rs.real == real and rs.repeated is repeated
+
+
+def test_uncertified_roots_raise(monkeypatch):
+    # no route returns roots it has not certified: with sweeps that never
+    # move, the septic's grids run out; a start that is not finite is refused
+    monkeypatch.setattr(forms, "_sweep", lambda coeffs, w, e: False)
+    with pytest.raises(ConvergenceError, match="not certified"):
+        roots_upper(BinaryForm(_UNCERTIFIED[0][0]))
+    with pytest.raises(ConvergenceError, match="finite"):
+        forms._roots_high_precision([1, 0, 1], [complex(math.nan, 1), -1j])
 
 
 @pytest.mark.parametrize("coeffs,upper,real", [
@@ -184,14 +205,106 @@ def test_uncertified_roots_fall_back_to_high_precision(
     ((1, 8, 24, 32, 16), (), (-2.0,) * 4),  # (x+2y)^4
 ], ids=["double-pair", "quadruple-real"])
 def test_repeated_roots_split_exactly(coeffs, upper, real, monkeypatch):
-    # the exact refinement cannot certify a multiple root; the squarefree
-    # split then finds the roots of each factor, so no mpmath runs
-    refined = _spy(monkeypatch, "_roots_exact_refined")
-    fallback = _spy(monkeypatch, "_roots_high_precision")
+    # pass 1 cannot certify a multiple root; the squarefree split then finds
+    # the roots of each factor, and no Weierstrass pass runs
+    exact = _spy(monkeypatch, "_roots_high_precision")
+    split = _spy(monkeypatch, "squarefree")
+    sweeps = _spy(monkeypatch, "_sweep")
     rs = roots_upper(BinaryForm(coeffs))
-    assert refined[0] is None and fallback == []
+    assert len(exact) == len(split) == 1 and sweeps == []
     assert [(p.t, p.u) for p in rs.upper] == list(upper)
     assert rs.real == real and rs.repeated is True
+
+
+def _mignotte(d, a):
+    """x^d - 2 (a x - y)^2 y^(d-2): squarefree, with two real roots close
+    together near 1/a."""
+    coeffs = [1] + [0] * d
+    coeffs[d - 2:] = [-2 * a * a, 4 * a, -2]
+    return BinaryForm(tuple(coeffs))
+
+
+def _moebius_roots(M):
+    """The upper roots of transform(triangle, M), (d z - b) / (a - c z) over
+    the triangle's roots z = x + iy (or their conjugates), correctly rounded."""
+    out = []
+    for x, y in TRIANGLE_ROOTS:
+        nr, ni, dr, di = M.d * x - M.b, M.d * y, M.a - M.c * x, -M.c * y
+        norm = dr * dr + di * di
+        out.append((float(Fraction(nr * dr + ni * di, norm)),
+                    abs(float(Fraction(ni * dr - nr * di, norm)))))
+    return sorted(out)
+
+
+_ROOTS_WITHOUT_MPMATH = """
+import json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now fails
+import formred as fr
+from formred import forms
+import workloads
+
+route = set()
+for name in ("_roots_high_precision", "squarefree", "_sweep"):
+    def spy(*args, name=name, real=getattr(forms, name)):
+        route.add(name)
+        return real(*args)
+    setattr(forms, name, spy)
+sets = json.load(sys.stdin)
+sets["mixed"] = [f.coeffs for group in workloads.mixed_population(fr).values()
+                 for f in group]
+out = {}
+for name, rows in sets.items():
+    out[name] = []
+    for coeffs in rows:
+        route.clear()
+        rs = fr.roots_upper(fr.BinaryForm(tuple(coeffs)))
+        if route:
+            out[name].append([coeffs, sorted(route), [[p.t, p.u] for p in rs.upper],
+                              list(rs.real)])
+print(json.dumps(out))
+"""
+
+
+def test_certified_roots_without_mpmath(triangle):
+    # in a fresh interpreter where mpmath cannot be imported: the mixed
+    # population, the clustered septic, 40 Mignotte forms and 50 SL2 images
+    # of the triangle.  Every root the exact route certifies is its true
+    # root correctly rounded: exact Moebius images for the triangle, sympy's
+    # real root isolation and 30-digit roots otherwise.
+    from oracles import random_sl2, rounded_roots
+
+    rng = np.random.default_rng(20240612)  # as test_theta_invariance_small
+    images = {}
+    for _ in range(50):
+        M = UnimodularMatrix(*random_sl2(rng))
+        images[transform(triangle, M).coeffs] = M
+    sets = {"septic": [_UNCERTIFIED[0][0]],
+            "mignotte": [_mignotte(d, a).coeffs for d in range(4, 12)
+                         for a in (3, 10, 30, 100, 1000)],
+            "triangle": list(images)}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", _ROOTS_WITHOUT_MPMATH],
+                          input=json.dumps(sets), env=env, check=True,
+                          capture_output=True, text=True)
+    out = json.loads(done.stdout)
+    for name in ("septic", "mignotte", "triangle"):
+        assert any("_sweep" in route for _, route, _, _ in out[name]), name
+    assert any("squarefree" in route for _, route, _, _ in out["mixed"])
+    for name, rows in out.items():
+        for coeffs, route, upper, real in rows:
+            got = (real, [tuple(z) for z in upper])
+            if name == "triangle":
+                want = ([], _moebius_roots(images[tuple(coeffs)]))
+            else:
+                want = rounded_roots(coeffs)
+            if all(m == 1 for _, m in forms.squarefree(coeffs)):
+                assert got == want, (name, coeffs)
+            else:  # a factor's double roots stand when they certify
+                assert len(got[0]) == len(want[0]) and len(got[1]) == len(want[1])
+                assert np.allclose(got[0], want[0], rtol=1e-13)
+                assert np.allclose(got[1], want[1], rtol=1e-13)
 
 
 def _sympy_sqf(coeffs):

@@ -221,6 +221,11 @@ def test_reduce_to_fundamental_examples():
     assert abs(float(z.u) - 25 / 13) < 1e-12
     assert M == UnimodularMatrix(0, 1, -1, 0)
 
+    # on the unit circle with Re < 0: the inversion gives the Re > 0 twin
+    z, M = reduce_to_fundamental(UhpPoint(Fraction(-7, 25), Fraction(24, 25)))
+    assert (z.t, z.u) == (Fraction(7, 25), Fraction(24, 25))
+    assert M == UnimodularMatrix(0, 1, -1, 0)
+
 
 def test_reduce_to_fundamental_properties(rng):
     for _ in range(500):

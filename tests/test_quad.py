@@ -43,6 +43,14 @@ def test_q_reduce_examples():
     assert (Q.a, Q.b, Q.c) == (1, 0, 1)
     assert M == UnimodularMatrix.identity()
 
+    # a float coefficient is refused, not truncated to another form
+    for bad in (QuadraticForm(1.5, 0, 2), QuadraticForm(1, 0.25, 2),
+                QuadraticForm(1, 0, Fraction(5, 2))):
+        with pytest.raises(DomainError, match="integer"):
+            q_reduce(bad)
+    Q, _ = q_reduce(QuadraticForm(2.0, 4, 5.0))  # integer values are kept
+    assert (Q.a, Q.b, Q.c) == (2, 0, 3)
+
     # golden value fixed by the brute-force word search
     assert reduce_quad_brute((5, 4, 1)) == (1, 0, 1)
     Q, _ = q_reduce(QuadraticForm(5, 4, 1))

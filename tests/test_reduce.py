@@ -76,6 +76,8 @@ def test_shift_direction_examples(triangle):
     assert shift_direction(shift(triangle, 17)) == {"+"}
     assert shift_direction(shift(triangle, 19)) == set()
     assert shift_direction(BinaryForm((1, 0, 1))) == set()
+    # x^2 + 6xy + 10y^2 = (x + 3y)^2 + y^2: only x -> x - y lowers it
+    assert shift_direction(shift(BinaryForm((1, 0, 1)), 3)) == {"-"}
 
 
 def test_shift_descent_examples(triangle, pentagon):
