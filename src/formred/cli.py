@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .dbgen import (DEFAULT_MAXDIST_METRIC, DEFAULT_MAXDIST_SCAN_U,
@@ -42,14 +41,15 @@ def _parse_coeffs(text: str) -> BinaryForm:
 
 
 def _workers(text: str) -> int:
-    """--workers: an integer of at least 1, clamped to the CPU count."""
+    """--workers: an integer of at least 1 (dbgen cuts it to the CPU
+    count)."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+    return n
 
 
 def _emit(obj: dict, as_json: bool):

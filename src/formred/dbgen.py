@@ -104,8 +104,6 @@ MAXDIST_SCAN_US = ("mean-y", "definition")
 # of a compare or max-distance block (see the module docstring)
 _CHUNK_ROWS = 200_000
 _SCAN_ROWS = 16_384
-# the largest |num| with 200 |num| < 2^53 (see _shifts_from_ratio)
-_EXACT_2DP_NUM = (2 ** 53 - 1) // 200
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,7 @@ def generate_records(config: LatticeConfig, workers: int = 1):
     # int64 where the bounds of _records_range hold
     dtype = (np.int64 if _int64_safe(r2, k) and k * k * r2 ** (2 * k) < 2 ** 53
              else object)
-    yield from _fan_out(_records_range,
-                        _range_tasks(points, k, workers, dtype), workers)
+    yield from _fan_out(_records_range, points, k, workers, dtype)
 
 
 def _records_range(task):
@@ -265,9 +262,12 @@ def _range_tasks(points, k: int, workers: int, *args):
     return [(points, k, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fan_out(fn, tasks, workers: int):
-    """Stream the items of fn(task) for every task, in task order: lazily in
-    this process when workers <= 1, else from a pool of `workers` processes."""
+def _fan_out(fn, points, k: int, workers: int, *args):
+    """Stream the items of fn(task) for the tasks of `_range_tasks`, in
+    order: lazily here when workers <= 1, else from a pool of `workers`
+    processes, at most the CPU count (a pool forks them all at once)."""
+    workers = min(workers, os.cpu_count() or 1)
+    tasks = _range_tasks(points, k, workers, *args)
     if workers <= 1:
         for task in tasks:
             yield from fn(task)
@@ -463,9 +463,8 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     if k > len(points):
         raise ValueError("k-gon larger than the point set")
     best_key, best_roots = -math.inf, None
-    for key, combo in _fan_out(_maxdist_range,
-                               _range_tasks(points, k, workers, metric, scan_u),
-                               workers):
+    for key, combo in _fan_out(_maxdist_range, points, k, workers, metric,
+                               scan_u):
         roots = tuple(points[i] for i in combo)
         if key > best_key or (key == best_key and roots < best_roots):
             best_key, best_roots = key, roots
@@ -474,30 +473,8 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     return build_record(best_roots)
 
 
-def _shifts_from_ratio(num: np.ndarray, den, tie: str) -> np.ndarray:
-    """Integer (int64) shifts from the exact ratio num/den under a tie
-    convention.
-
-    'up-2dp' is floor(round(t, 2) + 1/2) for the double t nearest num/den.
-    It is computed in integers, as c = the cents of num/den rounded half up
-    and then floor(c/100 + 1/2): unless num/den is exactly half a cent, it
-    is more than 1/(200 den) from every half cent, farther than t when
-    200 |num| < 2^53 and den < 2^53, so t rounds to the same c.  Exact half
-    cents and larger ratios keep the double formula."""
-    if tie != "up-2dp":
-        return _nint_ratio(num, den, tie)
-    den = np.broadcast_to(den, num.shape)
-    # q is c, and num/den is exactly half a cent where twice divides scaled
-    scaled, twice = 200 * num + den, 2 * den
-    q = scaled // twice
-    shifts = (q + 50) // 100
-    double = ((q * twice == scaled) | (abs(num) > _EXACT_2DP_NUM)
-              | (den >= 2 ** 53))
-    if double.any():
-        t = num[double].astype(np.float64) / den[double].astype(np.float64)
-        t2 = np.array([round(float(v), 2) for v in t], dtype=np.float64)
-        shifts[double] = np.floor(t2 + 0.5).astype(np.int64)
-    return shifts.astype(np.int64, copy=False)
+# the compare engine's shift rounding, named apart so that it can be timed
+_shifts_from_ratio = _nint_ratio
 
 
 def _expand_forms(X: np.ndarray, Y: np.ndarray, tail=(1,)) -> list:
@@ -569,8 +546,7 @@ def compare_stats(config: LatticeConfig, tie: str = DEFAULT_COMPARE_TIE,
     points = lattice_points(config.r2, config.region)
     k = config.kgon
     dtype = np.int64 if _int64_safe(config.r2, k) else object
-    parts = _fan_out(_compare_range, _range_tasks(points, k, workers, tie, dtype),
-                     workers)
+    parts = _fan_out(_compare_range, points, k, workers, tie, dtype)
     return CompareStats(*map(sum, zip((0, 0, 0, 0), *parts)))
 
 
@@ -659,19 +635,18 @@ def read_db(path):
 # true-Julia vs center-of-mass shift report
 # ---------------------------------------------------------------------------
 
-# a Julia zero closer than this to a half-integer is a tie: mirror-symmetric
-# root sets put it on one, and the solver's last bit must not decide them
-_JULIA_TIE_BAND = 1e-9
+# Julia zeros snap to multiples of 1 / _JULIA_GRID: one within 1e-9 of a
+# half-integer is a tie, as mirror-symmetric root sets put it on one and the
+# solver's last bit must not decide them
+_JULIA_GRID = 500_000_000
 
 
 def _julia_shifts(t: np.ndarray) -> np.ndarray:
     """nint(t) half away from zero, with |t - (h + 1/2)| < 1e-9 taken as an
-    exact tie; outside that band sign(t) floor(|t| + 1/2) is exact."""
-    a = np.abs(t)
-    h = np.floor(a)
-    tie = np.abs(a - (h + 0.5)) < _JULIA_TIE_BAND
-    shifts = np.sign(t) * np.where(tie, h + 1, np.floor(a + 0.5))
-    return shifts.astype(np.int64)
+    exact tie: the nearest multiple of 1 / _JULIA_GRID lies on h + 1/2 just
+    there, and elsewhere rounds as t does."""
+    grid = np.rint(t * _JULIA_GRID).astype(np.int64)
+    return _nint_ratio(grid, _JULIA_GRID, "away")
 
 
 def julia_vs_com_report(config: LatticeConfig) -> dict:

@@ -36,6 +36,8 @@ class UhpPoint:
             t = float(t)
         if not _exact(u):
             u = float(u)
+        if t - t or u - u:  # nan for a nan or infinite float, else 0
+            raise ValueError(f"coordinates must be finite, got {t}, {u}")
         if u <= 0:
             raise ValueError(f"imaginary part must be positive, got {u}")
         object.__setattr__(self, "t", t)
@@ -46,17 +48,32 @@ def nint(x, mode: str = "away") -> int:
     """Round to the nearest integer; `mode` picks the half-way convention:
     'away' (default) from zero, 'even' banker's, 'zero' toward zero,
     'up' toward +infinity, 'up-2dp' half-up after a 2-decimal pre-round
-    (the convention of the reference comparison runs).  Exact for
-    Fraction/int input."""
-    if mode == "up-2dp":
-        return math.floor(round(float(x), 2) + 0.5)
-    x = Fraction(x)  # exact, also for floats (binary expansion)
+    (the convention of the reference comparison runs).  Exact, also for
+    floats (their binary expansion): `_nint_ratio` of Fraction(x)."""
+    x = Fraction(x)
     return _nint_ratio(x.numerator, x.denominator, mode)
 
 
 def _nint_ratio(num, den, mode: str):
     """Nearest integer of num/den (den > 0) in integer arithmetic only, so
-    the same formula serves Python ints and int64 numpy arrays."""
+    the same formula serves Python ints and int64 or object numpy arrays,
+    whose dtype the result keeps.
+
+    'up-2dp' is floor(round(t, 2) + 1/2), t the double nearest num/den:
+    cents c = (200 num + den) // (2 den), then (c + 50) // 100.  Off the
+    half cents, which are 1/(200 den) away, t has the same cents while
+    200 |num| and den are below 2^53; of the half cents only h + 0.495
+    decides the shift, by the double nearest it (`_below_half`), per row."""
+    if mode == "up-2dp":
+        scaled, twice = 200 * num + den, 2 * den
+        cents = scaled // twice
+        shift = (cents + 50) // 100
+        edge = (cents * twice == scaled) & (cents - 100 * shift == -50)
+        if isinstance(shift, int):
+            return shift - (edge and _below_half(shift - 1))
+        for i in zip(*edge.nonzero()):
+            shift[i] -= _below_half(int(shift[i]) - 1)
+        return shift
     sign = 1 - 2 * (num < 0)
     if mode == "away":
         return sign * ((2 * abs(num) + den) // (2 * den))
@@ -69,6 +86,11 @@ def _nint_ratio(num, den, mode: str):
         r = num - q * den
         return q + (2 * r > den) + ((2 * r == den) & (q % 2 == 1))
     raise ValueError(f"unknown rounding mode {mode!r}")
+
+
+def _below_half(h: int) -> bool:
+    # whether the double nearest h + 0.495 (int / int) rounds to h + 0.49
+    return round((200 * h + 99) / 200, 2) != h + 0.5
 
 
 def mobius(M: UnimodularMatrix, z: UhpPoint) -> UhpPoint:

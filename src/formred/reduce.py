@@ -100,6 +100,7 @@ def reduce_com(f: BinaryForm, tie: str = "away",
     """Shift by the rounded real part of the upper-root center of mass
     (the experimental stand-in for Julia reduction in the database runs);
     `roots` is roots_upper(f) when the caller already has it."""
+    nint(0, tie)  # refuses an unknown tie before any root finding
     rootset = roots_upper(f) if roots is None else roots
     if not rootset.upper:
         raise DomainError("center-of-mass reduction requires a non-real root")
@@ -234,6 +235,7 @@ def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
     then the scaling scan."""
     if f.degree < 2:
         raise ValueError("minimize needs degree >= 2")
+    nint(0, tie)  # refuses an unknown tie before any root finding
     roots = roots_upper(f)
     if _unstable_root(f, roots) is not None:
         stage1 = _finish(f, f, UnimodularMatrix.identity(), "full")

@@ -26,14 +26,3 @@ def test_workers_rejected_below_one(command, capsys):
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert f"argument --workers: {why}" in err and "_workers" not in err
-
-
-@pytest.mark.parametrize("command", sorted(BASE))
-def test_workers_clamped_to_cpu_count(command, monkeypatch):
-    parser = cli.build_parser()
-    assert parser.parse_args(BASE[command]).workers == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    for given, kept in (("1", 1), ("3", 3), ("4", 4), ("5", 4), ("100000", 4)):
-        assert parser.parse_args(BASE[command] + ["--workers", given]).workers == kept
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert parser.parse_args(BASE[command] + ["--workers", "8"]).workers == 1

@@ -21,8 +21,8 @@ from formred import dbgen
 from formred.dbgen import (_CHUNK_ROWS, TIE_NAMES, _centers, _expand_forms,
                            _index_chunks, _int64_safe, _join_sums,
                            _point_sums, _prefix_tails, _range_tasks,
-                           _shift_heights, _shifts_from_ratio, _tail_table)
-from formred.hyper import _inverse_y_weights
+                           _julia_shifts, _shift_heights, _tail_table)
+from formred.hyper import _inverse_y_weights, _nint_ratio
 from oracles import (compare_record, index_chunks_reference,
                      inverse_y_weights, julia_report_oracle,
                      maxdist_keys_reference, record_line)
@@ -169,10 +169,17 @@ def _up_2dp(num, den):
     return math.floor(round(float(num) / float(den), 2) + 0.5)
 
 
+def _up_2dp_exact(num, den):
+    # the same in exact arithmetic: cents and then units, both half up
+    half = Fraction(1, 2)
+    cents = math.floor(Fraction(100 * num, den) + half)
+    return math.floor(Fraction(cents, 100) + half)
+
+
 def test_up_2dp_shifts_integer_and_double_rows():
     ratios = [
         (1, 8), (3, 8), (-5, 8), (107, 40), (201, 200),  # exact half cents
-        (99, 200), (-101, 200), (-99, 200),  # half cents the double misses
+        (99, 200), (-101, 200), (-99, 200),  # h + 0.495: the double decides
         (5, 2), (-7, 2), (0, 3), (7, 3), (-22, 7), (1, 1), (-1, 1)]
     for c in range(-400, 400, 37):  # near half cents, den about 10^6
         for den in (999_983, 1_000_000, 1_048_576):
@@ -181,19 +188,34 @@ def test_up_2dp_shifts_integer_and_double_rows():
     for dtype in (np.int64, object):
         num = np.array([p for p, _ in ratios], dtype=dtype)
         den = np.array([q for _, q in ratios], dtype=dtype)
-        got = _shifts_from_ratio(num, den, "up-2dp")
-        assert got.dtype == np.int64
+        got = _nint_ratio(num, den, "up-2dp")
+        assert got.dtype == num.dtype
         assert list(got) == [_up_2dp(p, q) for p, q in ratios]
-        got = _shifts_from_ratio(num, 7, "up-2dp")
+        got = _nint_ratio(num, 7, "up-2dp")
+        assert got.dtype == num.dtype
         assert list(got) == [_up_2dp(p, 7) for p, _ in ratios]
-    # object rows past the exact range 200 |num| < 2^53 keep the double
+    assert [_nint_ratio(p, q, "up-2dp") for p, q in ratios] == \
+        [_up_2dp(p, q) for p, q in ratios]
+    # object rows past 200 |num| < 2^53 round the exact ratio, not the double
     big = [(2 ** 53 // 200 + d, q) for d in (-1, 0, 1, 2) for q in (1, 2, 3, 8)]
     big += [(-(2 ** 60) - 5, 3), (2 ** 62 + 1, 10 ** 5), (3 * 2 ** 55, 2 ** 54)]
-    got = _shifts_from_ratio(np.array([p for p, _ in big], dtype=object),
-                             np.array([q for _, q in big], dtype=object),
-                             "up-2dp")
-    assert got.dtype == np.int64
-    assert list(got) == [_up_2dp(p, q) for p, q in big]
+    got = _nint_ratio(np.array([p for p, _ in big], dtype=object),
+                      np.array([q for _, q in big], dtype=object), "up-2dp")
+    assert got.dtype == object
+    assert list(got) == [_up_2dp_exact(p, q) for p, q in big]
+
+
+def test_julia_shifts_tie_band():
+    # a zero within 1e-9 of h + 1/2 rounds as the tie, away from zero
+    for h in (0, 1, 7, 63):
+        for sign in (1, -1):
+            near = [h + 0.5 + d for d in (-0.9e-9, 0.0, 0.9e-9)]
+            outside = [h + 0.5 - 1.1e-9, h + 0.5 + 1.1e-9]
+            t = sign * np.array(near + outside)
+            got = _julia_shifts(t)
+            assert got.dtype == np.int64
+            assert list(got) == [sign * (h + 1)] * 3 + [sign * h,
+                                                        sign * (h + 1)]
 
 
 def test_unknown_conventions_rejected_before_the_scan(monkeypatch):
@@ -422,6 +444,50 @@ def random_roots(rng, k, span=30):
 def test_compare_stats_workers_deterministic():
     cfg = LatticeConfig(r2=4, kgon=3)
     assert compare_stats(cfg, workers=1) == compare_stats(cfg, workers=3)
+
+
+ENGINES = {
+    "gen": lambda cfg, workers: list(generate_records(cfg, workers=workers)),
+    "compare": lambda cfg, workers: compare_stats(cfg, workers=workers),
+    "maxdist": lambda cfg, workers: max_distance(cfg, workers=workers),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_workers_clamped_to_cpu_count(engine, monkeypatch):
+    # a pool forks all its workers at once, so the engines cut the count to
+    # the CPUs; the fake pool records it and runs the tasks in this process
+    pools, splits = [], []
+
+    class FakePool:
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def recorded(points, k, workers, *args):
+        splits.append(workers)
+        return _range_tasks(points, k, workers, *args)
+
+    monkeypatch.setattr(dbgen, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(dbgen, "_range_tasks", recorded)
+    cfg = LatticeConfig(r2=4, kgon=3)
+    run = ENGINES[engine]
+    expected = run(cfg, 1)
+    monkeypatch.setattr(dbgen.os, "cpu_count", lambda: 4)
+    for given, kept in ((3, 3), (4, 4), (5, 4), (100_000, 4)):
+        assert run(cfg, given) == expected
+        assert pools[-1] == splits[-1] == kept
+    monkeypatch.setattr(dbgen.os, "cpu_count", lambda: None)
+    assert run(cfg, 8) == expected
+    assert len(pools) == 4 and splits[-1] == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formred import (UhpPoint, UnimodularMatrix, center_of_mass,
                      centroid_from_factors, dist_h, hyperbolic_centroid,
@@ -208,6 +209,23 @@ def test_nint_modes():
         nint(1.0, "bogus")
 
 
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=-2.0 ** 52, max_value=2.0 ** 52,
+                   exclude_min=True, exclude_max=True))
+def test_nint_up_2dp_is_the_float_formula(x):
+    assert nint(x, "up-2dp") == math.floor(round(x, 2) + 0.5)
+
+
+def test_nint_up_2dp_odd_integer_window():
+    # for an odd integer float 2^52 <= |x| < 2^53, x + 0.5 is a binary tie
+    # that rounds to the even x + 1; the exact rounding keeps x
+    for x in (2.0 ** 52 + 1, 2.0 ** 53 - 1, -(2.0 ** 52 + 3), 3 * 2.0 ** 51 + 1):
+        assert math.floor(round(x, 2) + 0.5) == x + 1
+        assert nint(x, "up-2dp") == x
+    for x in (2.0 ** 52, 2.0 ** 53 - 2, -(2.0 ** 52 + 2)):
+        assert nint(x, "up-2dp") == math.floor(round(x, 2) + 0.5) == x
+
+
 def test_reduce_to_fundamental_examples():
     z, M = reduce_to_fundamental(UhpPoint(Fraction(22, 3), 13))
     assert z.t == Fraction(1, 3) and z.u == 13
@@ -244,3 +262,9 @@ def test_uhp_point_validation():
         UhpPoint(0, 0)
     with pytest.raises(ValueError):
         UhpPoint(1, -2)
+    for t, u in ((0.3, math.nan), (math.nan, 1), (math.inf, 1.0),
+                 (-math.inf, 2), (0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            UhpPoint(t, u)
+    big = UhpPoint(10 ** 400, Fraction(10 ** 400, 3))  # exact, past the floats
+    assert (big.t, big.u) == (10 ** 400, Fraction(10 ** 400, 3))

@@ -254,6 +254,18 @@ def test_minimize_finds_roots_once(route, monkeypatch):
     assert calls == [f]
 
 
+@pytest.mark.parametrize("route", sorted(ROUTE_FORMS))
+def test_unknown_tie_refused_before_root_finding(route, monkeypatch):
+    def unreachable(f):
+        raise AssertionError("roots computed")
+
+    monkeypatch.setattr(formred.reduce, "roots_upper", unreachable)
+    f = BinaryForm(ROUTE_FORMS[route])
+    for reducer in (minimize, reduce_com):
+        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
+            reducer(f, tie="bogus")
+
+
 @pytest.mark.parametrize("coeffs", sorted(ROUTE_FORMS.values()) + [
     (12345678901234567890, -98765432109876543210, 11111111111111111111,
      31415926535897932384),
