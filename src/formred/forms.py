@@ -23,7 +23,10 @@ class BinaryForm:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        raw = tuple(self.coeffs)
+        coeffs = tuple(map(int, raw))
+        if coeffs != raw:
+            raise ValueError(f"coefficients {raw!r} are not all integers")
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("a binary form has degree >= 1")
@@ -55,8 +58,12 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        raw = (self.a, self.b, self.c, self.d)
+        entries = tuple(map(int, raw))
+        if entries != raw:
+            raise ValueError(f"matrix entries {raw!r} are not all integers")
+        for name, v in zip("abcd", entries):
+            object.__setattr__(self, name, v)
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix determinant must be 1")
 
@@ -114,15 +121,14 @@ def content(f: BinaryForm) -> int:
 
 
 def primitive(f: BinaryForm) -> BinaryForm:
-    """Divide out the content and make the leading nonzero coefficient positive."""
+    """Divide out the content and make the leading nonzero coefficient
+    positive; f itself when it is already so."""
     g = content(f)
-    coeffs = [c // g for c in f.coeffs]
-    for c in coeffs:
-        if c != 0:
-            if c < 0:
-                coeffs = [-x for x in coeffs]
-            break
-    return BinaryForm(tuple(coeffs))
+    if next(filter(None, f.coeffs)) < 0:
+        g = -g
+    elif g == 1:
+        return f
+    return BinaryForm(tuple(c // g for c in f.coeffs))
 
 
 def height(f: BinaryForm) -> int:
@@ -354,10 +360,27 @@ def _gauss_horner(coeffs: Sequence[int], a: int, b: int, e: int):
 
 
 def _double_roots(coeffs: Sequence[int]):
-    """numpy's roots, each polished by _polish_root, and whether any is ill."""
-    polished = [_polish_root(coeffs, complex(z))
-                for z in np.roots([float(c) for c in coeffs])]
-    return [z for z, _ in polished], any(ill for _, ill in polished)
+    """numpy's roots, each polished by _polish_root, and whether any is ill.
+
+    A non-real root whose exact conjugate was polished before it takes the
+    conjugate of that result and its ill flag; any other root is polished
+    itself.  This is the result of polishing it: LAPACK returns the complex
+    eigenvalues of a real matrix as exact conjugate pairs, upper root first,
+    and with real coefficients every step of _polish_root (complex +, *, /
+    and abs) is conjugate-symmetric bit for bit."""
+    roots, ill, upper = [], False, {}
+    for z in np.roots([float(c) for c in coeffs]):
+        z = complex(z)
+        pair = upper.get(z.conjugate()) if z.imag < 0 else None
+        if pair is None:
+            pair = _polish_root(coeffs, z)
+            if z.imag > 0:
+                upper[z] = pair
+            roots.append(pair[0])
+        else:
+            roots.append(pair[0].conjugate())
+        ill = ill or pair[1]
+    return roots, ill
 
 
 def _separated(discs) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import DomainError
 from .forms import (BinaryForm, UnimodularMatrix, UpperRootSet, height,
@@ -155,10 +156,9 @@ def shift_direction(f: BinaryForm) -> set:
 def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
     """Walk integer shifts in both directions, keeping the best form seen;
     each direction stops after `patience` consecutive non-improving steps."""
-    if patience < 1:
-        raise ValueError("patience must be at least 1")
+    _at_least_1(patience=patience)
     f0 = primitive(f)
-    h0 = height(f0)
+    h0 = max(map(abs, f0.coeffs))
     best_h, best_m = h0, 0
     for direction in (1, -1):
         cur = f0
@@ -167,7 +167,7 @@ def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
         while misses < patience:
             m += direction
             cur = shift(cur, direction)
-            h = max(abs(c) for c in cur.coeffs)  # cur stays primitive
+            h = max(map(abs, cur.coeffs))  # cur stays primitive
             if h < best_h:
                 best_h, best_m = h, m
                 misses = 0
@@ -175,6 +175,13 @@ def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
                 misses += 1
     return _finish(f, shift(f0, best_m), UnimodularMatrix.translation(best_m),
                    "shift-descent")
+
+
+def _at_least_1(**params):
+    """Refuse a patience or bound below 1, naming it."""
+    for name, value in params.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def _smooth(w: int, c: int) -> bool:
@@ -202,15 +209,31 @@ def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
     same holds for v against c_0.  So the first minimum of the full scan is
     always feasible, and the pruned scan returns the same form, scale and
     height.  A zero end coefficient admits every u (or v); monic forms only
-    need v = 1."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    need v = 1.
+
+    When both ends are nonzero the scan is also capped: it drops every u
+    with u^n >= |c_n| h0 and every v with v^n >= |c_0| h0, h0 the input's
+    height.  With gcd(u, v) = 1 and c primitive, a prime of u divides the
+    content g of the candidate at most to its power in c_n v^n, that is in
+    c_n, and a prime of v at most to its power in c_0; no other prime
+    divides g.  So g = g_u g_v with g_u | c_n and g_v | c_0, and the
+    candidate's end coefficients give h >= |c_0| u^n / g >= u^n / |c_n| and
+    h >= |c_n| v^n / g >= v^n / |c_0|.  A dropped pair therefore never
+    strictly beats h0, and only a strictly lower height replaces the best,
+    so the capped scan returns the same form, scale and height."""
+    _at_least_1(bound=bound)
     f0 = primitive(f)
     n = f0.degree
     c = f0.coeffs
-    h0 = height(f0)
-    us = [u for u in range(1, bound + 1) if _smooth(u, c[-1])]
-    vs = [v for v in range(1, bound + 1) if _smooth(v, c[0])]
+    h0 = max(map(abs, c))
+    if c[0] and c[-1]:
+        ucap, vcap = abs(c[-1]) * h0, abs(c[0]) * h0
+    else:
+        ucap = vcap = math.inf
+    us = [u for u in takewhile(lambda u: u ** n < ucap, range(1, bound + 1))
+          if _smooth(u, c[-1])]
+    vs = [v for v in takewhile(lambda v: v ** n < vcap, range(1, bound + 1))
+          if _smooth(v, c[0])]
     pairs = sorted(
         ((u, v) for u in us for v in vs
          if math.gcd(u, v) == 1 and (u, v) != (1, 1)),
@@ -235,7 +258,9 @@ def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
     then the scaling scan."""
     if f.degree < 2:
         raise ValueError("minimize needs degree >= 2")
-    nint(0, tie)  # refuses an unknown tie before any root finding
+    # refuse a bad tie, patience or bound before any root finding
+    nint(0, tie)
+    _at_least_1(patience=patience, bound=bound)
     roots = roots_upper(f)
     if _unstable_root(f, roots) is not None:
         stage1 = _finish(f, f, UnimodularMatrix.identity(), "full")

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -11,6 +12,17 @@ from formred import BinaryForm, UhpPoint, from_upper_roots
 TRIANGLE_ROOTS = ((1, 19), (2, 19), (19, 1))
 PENTAGON_ROOTS = ((1, 5), (1, 6), (2, 6), (3, 3), (6, 1))
 TRIANGLE_COEFFS = (1, -44, 1325, -32280, 480964, -5809376, 47831060)
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's seeded inputs, loaded by path
+    (perfbench is a directory of scripts, not a package)."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,31 @@ def scale_exhaustive(coeffs_descending, bound):
     return best[0][0], best[1]
 
 
+def feasible_cut(coeffs_descending, bound):
+    """Whether the exact cap of the scaling scan drops a content-feasible
+    u or v up to `bound`: some u <= bound whose primes all divide c_n has
+    u^n >= |c_n| h, or some v whose primes all divide c_0 has
+    v^n >= |c_0| h (h the height of the primitive form).  False when an
+    end coefficient is zero, where the cap is off."""
+    c = coeffs_descending
+    n, h = len(c) - 1, max(abs(x) for x in c)
+    if c[0] == 0 or c[-1] == 0:
+        return False
+    # every prime of w divides e exactly when w divides e^w (as w < 2^w)
+    return any(w ** n >= abs(e) * h and pow(e, w, w) == 0
+               for e in (c[-1], c[0]) for w in range(2, bound + 1))
+
+
+def double_roots_reference(coeffs):
+    """numpy's roots of the integer polynomial, each polished on its own by
+    `forms._polish_root`, and whether any is ill."""
+    from formred.forms import _polish_root
+
+    polished = [_polish_root(coeffs, complex(z))
+                for z in np.roots([float(c) for c in coeffs])]
+    return [z for z, _ in polished], any(ill for _, ill in polished)
+
+
 def wgcd(coeffs_descending):
     """Weighted gcd of the ascending coefficients a_1..a_n with weights
     (1, ..., n): the largest d with d^i dividing a_i for every i >= 1."""

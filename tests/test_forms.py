@@ -9,15 +9,16 @@ from functools import reduce as fold
 import numpy as np
 import pytest
 
+import formred
 from formred import (BinaryForm, ConvergenceError, UhpPoint, UnimodularMatrix,
-                     content, from_upper_roots, height, primitive, roots_upper,
-                     shift, transform)
+                     content, from_upper_roots, height, primitive,
+                     roots_upper, shift, transform)
 from formred import forms
 from formred.dbgen import enumerate_ngons, lattice_points
 from formred.forms import _quadratic_product, _taylor_shift
-from conftest import (TRIANGLE_COEFFS, TRIANGLE_ROOTS, random_form,
-                      random_upper_points)
-from oracles import binomial_shift, poly_mul
+from conftest import (TRIANGLE_COEFFS, TRIANGLE_ROOTS, benchmark_workloads,
+                      random_form, random_upper_points)
+from oracles import binomial_shift, double_roots_reference, poly_mul
 
 
 def test_content_examples():
@@ -32,6 +33,13 @@ def test_primitive_examples():
     assert primitive(BinaryForm((2, 4, 6))).coeffs == (1, 2, 3)
     assert primitive(BinaryForm((-1, 0, -1))).coeffs == (1, 0, 1)
     assert primitive(BinaryForm((8, 0, 0, 4))).coeffs == (2, 0, 0, 1)
+    assert primitive(BinaryForm((0, -3, 6))).coeffs == (0, 1, -2)
+    # a form that is already primitive comes back itself
+    for coeffs in ((1, 2, 3), (0, 5, -7), (3, 0, 0, -2), TRIANGLE_COEFFS):
+        f = BinaryForm(coeffs)
+        assert primitive(f) is f
+    g = BinaryForm((-1, 0, 1))
+    assert primitive(g) is not g and primitive(g).coeffs == (1, 0, -1)
 
 
 def test_form_validation():
@@ -42,6 +50,15 @@ def test_form_validation():
     # xy: both end coefficients zero, yet an SL2(Z) image shift descent can
     # reach (see test_shift_through_both_ends_zero_form)
     assert BinaryForm((0, 1, 0)).coeffs == (0, 1, 0)
+    # an entry that is not an integer is refused, not truncated
+    for coeffs in ((1.7, 2), ("3", 2), (1.5, 0, 2.9), (1, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="not all integers"):
+            BinaryForm(coeffs)
+    # integral floats and numpy integers, in any sequence, become ints
+    f = BinaryForm((2.0, np.int64(-3), Fraction(4)))
+    assert f.coeffs == (2, -3, 4) and {type(c) for c in f.coeffs} == {int}
+    assert BinaryForm([1, 0, 1]).coeffs == BinaryForm(np.array([1, 0, 1])).coeffs \
+        == (1, 0, 1)
 
 
 def test_height_examples(triangle):
@@ -92,6 +109,12 @@ def test_unimodular_matrix():
     assert M.det == 1
     with pytest.raises(ValueError):
         UnimodularMatrix(1, 1, 1, 1)
+    for entries in ((1.9, 0, 0, 1), (1, 0.5, 0, 1), ("1", 0, 0, 1)):
+        with pytest.raises(ValueError, match="not all integers"):
+            UnimodularMatrix(*entries)
+    M = UnimodularMatrix(1.0, np.int64(2), 0, 1)
+    assert M == UnimodularMatrix.translation(2)
+    assert {type(v) for v in (M.a, M.b, M.c, M.d)} == {int}
 
 
 def test_roots_upper_examples(triangle):
@@ -222,6 +245,30 @@ def _mignotte(d, a):
     coeffs = [1] + [0] * d
     coeffs[d - 2:] = [-2 * a * a, 4 * a, -2]
     return BinaryForm(tuple(coeffs))
+
+
+def test_pair_polish_matches_per_root_polish():
+    # polishing each upper root and taking the conjugate for its pair gives
+    # the roots and ill flag of polishing every root, bit for bit, in order
+    wl = benchmark_workloads()
+    rows = [f.coeffs for group in wl.mixed_population(formred).values()
+            for f in group]
+    rows += [_mignotte(d, a).coeffs for d in range(4, 12)
+             for a in (3, 10, 30, 100, 1000)]
+    ngons = enumerate_ngons(lattice_points(4), 5)
+    rows += [from_upper_roots([UhpPoint(x, y) for x, y in roots]).coeffs
+             for i, roots in enumerate(ngons) if i % 23 == 0][:500]
+    paired = ill = 0
+    for coeffs in rows:
+        coeffs = forms._strip(list(coeffs))
+        got, got_ill = forms._double_roots(coeffs)
+        want, want_ill = double_roots_reference(coeffs)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == \
+            [(z.real.hex(), z.imag.hex()) for z in want], coeffs
+        assert got_ill is want_ill, coeffs
+        paired += any(z.imag < 0 for z in got)
+        ill += got_ill
+    assert len(rows) > 1200 and paired > 1000 and ill > 0
 
 
 def _moebius_roots(M):

@@ -4,17 +4,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import formred.julia
 import formred.reduce
 from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
-                     from_upper_roots, height, minimize, primitive,
+                     enumerate_ngons, from_upper_roots, height,
+                     lattice_points, minimize, primitive,
                      reduce_com, reduce_hyperbolic, reduce_julia,
                      roots_upper, scale_search, shift, shift_descent,
                      shift_direction, transform)
 from conftest import TRIANGLE_COEFFS, random_upper_points
-from oracles import (minimize_cascade, scale_exhaustive, scale_lemma,
-                     scaled_primitive, wgcd)
+from oracles import (feasible_cut, minimize_cascade, scale_exhaustive,
+                     scale_lemma, scaled_primitive, wgcd)
 
 # one form per stage-1 route of minimize, plus two that end otherwise
 ROUTE_FORMS = {
@@ -187,6 +189,41 @@ def test_scale_search_matches_exhaustive(rng, pentagon):
     assert fired >= 40
 
 
+def test_scale_search_cap_matches_exhaustive(rng):
+    # at bound 64, where the exact cap u^n < |c_n| h0, v^n < |c_0| h0 drops
+    # content-feasible scalings: pentagon stage-2 outputs, degree 6-10 forms
+    # with smooth ends, and zero-end forms, where the cap is off
+    forms = []
+    for i, roots in enumerate(enumerate_ngons(lattice_points(4), 5)):
+        if i % 997 == 0:
+            f = from_upper_roots([UhpPoint(x, y) for x, y in roots])
+            forms.append(shift_descent(reduce_hyperbolic(f).output).output)
+    while len(forms) < 24:
+        n = int(rng.integers(6, 11))
+        base = [int(v) for v in rng.integers(-9, 10, n + 1)]
+        if base[0] == 0 or base[-1] == 0:
+            continue
+        u, v = (int(w) for w in rng.choice([1, 2, 3, 4, 6, 8, 9], 2))
+        forms.append(primitive(BinaryForm(tuple(
+            c * v ** (n - i) * u ** i for i, c in enumerate(base)))))
+    for k in range(6):
+        n = int(rng.integers(6, 11))
+        coeffs = [int(v) for v in rng.integers(-30, 31, n + 1)]
+        coeffs[-(k % 2)] = 0
+        coeffs[k % 2 - 1] = coeffs[k % 2 - 1] or 7
+        forms.append(primitive(BinaryForm(tuple(coeffs))))
+    # the winning u (v) has u^n = 81, 3/4 of its cap |c_n| h0 = 108 (|c_0| h0)
+    forms += [BinaryForm((8, 0, -12, 0, -9)), BinaryForm((9, 12, 0, 1, 1))]
+    cut = 0
+    for f in forms:
+        r = scale_search(f, bound=64)
+        h, lam = scale_exhaustive(f.coeffs, 64)
+        assert (r.output.coeffs, r.scale, r.output_height) == \
+            (scaled_primitive(f.coeffs, lam), lam, h), f
+        cut += feasible_cut(f.coeffs, 64)
+    assert cut >= 10
+
+
 def test_scale_search_bound_stability(triangle, pentagon):
     g = shift(pentagon, 5)
     h64 = scale_search(g, bound=64).output_height
@@ -266,6 +303,19 @@ def test_unknown_tie_refused_before_root_finding(route, monkeypatch):
             reducer(f, tie="bogus")
 
 
+@pytest.mark.parametrize("route", sorted(ROUTE_FORMS))
+def test_bad_patience_or_bound_refused_before_root_finding(route, monkeypatch):
+    def unreachable(f):
+        raise AssertionError("roots computed")
+
+    monkeypatch.setattr(formred.reduce, "roots_upper", unreachable)
+    f = BinaryForm(ROUTE_FORMS[route])
+    for kwargs, name in (({"patience": 0}, "patience"), ({"bound": 0}, "bound"),
+                         ({"patience": -3, "bound": 5}, "patience")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            minimize(f, **kwargs)
+
+
 @pytest.mark.parametrize("coeffs", sorted(ROUTE_FORMS.values()) + [
     (12345678901234567890, -98765432109876543210, 11111111111111111111,
      31415926535897932384),
@@ -309,6 +359,34 @@ def test_pipeline_monotonicity_random(rng):
         rm = minimize(f, bound=8)
         assert rm.output_height <= min(r3.output_height,
                                        reduce_com(f).output_height)
+
+
+@st.composite
+def _forms(draw):
+    """A random form of degree 2 to 7: small coefficients, small with one
+    end coefficient zero, or coefficients of up to 20 digits."""
+    kind = draw(st.sampled_from(["small", "zero-end", "20-digit"]))
+    n = draw(st.integers(2, 7))
+    span = 10**20 if kind == "20-digit" else 40
+    coeffs = draw(st.lists(st.integers(-span, span), min_size=n + 1,
+                           max_size=n + 1))
+    if kind == "zero-end":
+        coeffs[draw(st.sampled_from([0, -1]))] = 0
+    assume(any(coeffs))
+    return BinaryForm(tuple(coeffs))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_forms())
+def test_minimize_report_or_domain_error(f):
+    # every form gets a report that its certificate checks, or a DomainError
+    try:
+        r = minimize(f)
+    except DomainError:
+        return
+    assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+        r.output.coeffs
+    assert r.output_height == height(r.output) <= r.input_height == height(f)
 
 
 def test_minimize_shift_composition_equivariance(rng, triangle):
