@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,10 @@ class BinaryForm:
 
     def __post_init__(self):
         raw = tuple(self.coeffs)
-        coeffs = tuple(map(int, raw))
+        try:
+            coeffs = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"coefficients {raw!r} are not all integers") from exc
         if coeffs != raw:
             raise ValueError(f"coefficients {raw!r} are not all integers")
         object.__setattr__(self, "coeffs", coeffs)
@@ -59,7 +62,10 @@ class UnimodularMatrix:
 
     def __post_init__(self):
         raw = (self.a, self.b, self.c, self.d)
-        entries = tuple(map(int, raw))
+        try:
+            entries = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"matrix entries {raw!r} are not all integers") from exc
         if entries != raw:
             raise ValueError(f"matrix entries {raw!r} are not all integers")
         for name, v in zip("abcd", entries):
@@ -134,16 +140,6 @@ def primitive(f: BinaryForm) -> BinaryForm:
 def height(f: BinaryForm) -> int:
     """Naive height: max |c_i| of the primitive representative."""
     return max(abs(c) for c in primitive(f).coeffs)
-
-
-def _conv(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _strip(p: list) -> list:
@@ -276,25 +272,24 @@ def _quadratic_product(factors, b=(1,)) -> list:
 
 
 def transform(f: BinaryForm, M: UnimodularMatrix) -> BinaryForm:
-    """Coefficients of f(a*x + b*y, c*x + d*y), computed exactly.
+    """Coefficients of f(a*x + b*y, c*x + d*y), computed exactly in O(n^2)
+    by homogeneous Horner: out = c_0, then for each further coefficient c_i,
+    col = col (c*x + d*y) and out = out (a*x + b*y) + c_i col, so col is
+    (c*x + d*y)^i.  The kernel never uses the determinant.  A translation
+    (every matrix of minimize on the pentagon database) takes the cheaper
+    Taylor shift, with the same coefficients.
 
     The action composes as transform(transform(f, M), N) = transform(f, M @ N),
     and transform(transform(f, M), M.inverse()) == f.
     """
-    n = f.degree
-    row = [[1]]  # powers of (a*x + b*y)
-    for _ in range(n):
-        row.append(_conv(row[-1], [M.a, M.b]))
-    col = [[1]]  # powers of (c*x + d*y)
-    for _ in range(n):
-        col.append(_conv(col[-1], [M.c, M.d]))
-    out = [0] * (n + 1)
-    for i, coeff in enumerate(f.coeffs):
-        if coeff == 0:
-            continue
-        term = _conv(row[n - i], col[i])
-        for j, v in enumerate(term):
-            out[j] += coeff * v
+    a, b, c, d = M.a, M.b, M.c, M.d
+    if (a, c, d) == (1, 0, 1):
+        return shift(f, b)
+    out, col = [f.coeffs[0]], [1]
+    for ci in f.coeffs[1:]:
+        col = [c * p + d * q for p, q in zip(col + [0], [0] + col)]
+        out = [a * p + b * q + ci * r
+               for p, q, r in zip(out + [0], [0] + out, col)]
     return BinaryForm(tuple(out))
 
 
@@ -335,16 +330,21 @@ def _polish_root(coeffs: Sequence[int], z: complex):
     in doubles.
 
     Returns (root, ill) where ill means the evaluation rounding bound keeps
-    the forward error above ~1e-13, i.e. doubles cannot certify this root."""
+    the forward error above ~1e-13, i.e. doubles cannot certify this root.
+    The bound is that of an evaluation at the returned root: the loop's
+    last one when its step left z equal (signed zeros aside, which neither
+    |dp| nor the bound sees), else a fresh one."""
     for _ in range(3):
-        p, dp, _ = _horner2(coeffs, z)
+        p, dp, ebound = _horner2(coeffs, z)
+        at = z
         if dp == 0:
             break
         step = p / dp
         z = z - step
         if abs(step) < 1e-16 * (1 + abs(z)):
             break
-    _, dp, ebound = _horner2(coeffs, z)
+    if z != at:
+        _, dp, ebound = _horner2(coeffs, z)
     ill = dp == 0 or ebound / abs(dp) > 1e-13 * (1 + abs(z))
     return z, ill
 
@@ -360,7 +360,13 @@ def _gauss_horner(coeffs: Sequence[int], a: int, b: int, e: int):
 
 
 def _double_roots(coeffs: Sequence[int]):
-    """numpy's roots, each polished by _polish_root, and whether any is ill.
+    """The eigenvalues of the companion matrix, then the roots at 0 of the
+    trailing zero coefficients, each polished by _polish_root, and whether
+    any is ill.  The matrix (ones on the subdiagonal, first row -c_i / c_0)
+    and the LAPACK call are those of np.roots, so the roots and their order
+    are numpy's bit for bit.  The caller passes a nonzero leading c_0; a
+    coefficient past the doubles (|c| >= 2^1024 - 2^970, which rounds up to
+    2^1024) raises DomainError.
 
     A non-real root whose exact conjugate was polished before it takes the
     conjugate of that result and its ill flag; any other root is polished
@@ -368,8 +374,16 @@ def _double_roots(coeffs: Sequence[int]):
     eigenvalues of a real matrix as exact conjugate pairs, upper root first,
     and with real coefficients every step of _polish_root (complex +, *, /
     and abs) is conjugate-symmetric bit for bit."""
+    try:
+        p = np.array([float(c) for c in coeffs])
+    except OverflowError:
+        raise DomainError("a coefficient is past the doubles (|c| >= 2^1024 "
+                          "- 2^970), so its roots cannot be found") from None
+    zeros = len(coeffs) - len(_strip(coeffs[::-1]))
+    A = np.eye(len(p) - zeros - 1, k=-1)
+    A[:1] = -p[1:len(p) - zeros] / p[0]
     roots, ill, upper = [], False, {}
-    for z in np.roots([float(c) for c in coeffs]):
+    for z in [*np.linalg.eigvals(A), *[0.0] * zeros]:
         z = complex(z)
         pair = upper.get(z.conjugate()) if z.imag < 0 else None
         if pair is None:

@@ -141,15 +141,20 @@ def _phi(X, Y2, m, x, s):
     return P[0], P[1:3], P[3:]
 
 
-def _newton_step(g, H):
+def _newton_step(g, H, diagonal=False):
     """The Newton step -H^-1 g of the frame gradient g and Hessian H, or -g
-    where H is not positive definite; closed-form 2x2 solve."""
+    where H is not positive definite; closed-form 2x2 solve.  With
+    `diagonal`, such a step is -g_i / h_ii instead where both h_ii > 0."""
     h00, h01, h11 = H
     det = h00 * h11 - h01 * h01
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        other = -g
+        if diagonal:
+            other = np.where((h00 > 0) & (h11 > 0), other / np.array((h00, h11)),
+                             other)
         return np.where((h00 > 0) & (det > 0),
                         np.array((h01 * g[1] - h11 * g[0],
-                                  h01 * g[0] - h00 * g[1])) / det, -g)
+                                  h01 * g[0] - h00 * g[1])) / det, other)
 
 
 # Both solvers stop at a hyperbolic gradient below _GRAD_TOL, halve a rejected
@@ -168,31 +173,36 @@ def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
     """Damped Newton on Phi(x, s), y = e^s, from (x, y) to a hyperbolic
     gradient (y dPhi/dx, dPhi/ds) below 1e-10; returns the minimizer (x, y).
     Steps are taken in the frame (dx / y, ds) and follow the negative gradient
-    where the Hessian is not positive definite."""
-    s = math.log(y)
-    phi, g, H = _phi(X, Y2, m, x, s)
-    for _ in range(_MAX_STEPS):
-        gnorm = np.max(np.abs(g))
-        step = _newton_step(g, H)
-        y = math.exp(s)
-        if gnorm < _GRAD_TOL:
-            # the test bounds the error only up to the Hessian's conditioning;
-            # one more step from here lands at rounding level
-            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
-            if np.max(np.abs(trial[1])) <= gnorm:
-                x, s = x + y * step[0], s + step[1]
-            return x, math.exp(s)
-        for _ in range(_HALVINGS):
-            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
-            if trial[0] < phi or (
-                    trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
-                    and np.max(np.abs(trial[1])) < 0.5 * gnorm):
-                x, s = x + y * step[0], s + step[1]
-                phi, g, H = trial
-                break
-            step = step / 2
-        else:
-            raise ConvergenceError("theta_0 line search stalled")
+    where the Hessian is not positive definite.  Along a nearly flat
+    direction those steps can zigzag until the step budget runs out, as for
+    the roots -1.2e7, 0, 1, 1.2e7; when the line search stalls or the budget
+    runs out, the solve starts over with _newton_step's diagonal steps, and
+    raises ConvergenceError only when that fails as well."""
+    for diagonal in (False, True):
+        x1, s = x, math.log(y)
+        phi, g, H = _phi(X, Y2, m, x1, s)
+        for _ in range(_MAX_STEPS):
+            gnorm = np.max(np.abs(g))
+            step = _newton_step(g, H, diagonal)
+            y1 = math.exp(s)
+            if gnorm < _GRAD_TOL:
+                # the test bounds the error only up to the Hessian's
+                # conditioning; one more step from here lands at rounding level
+                trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
+                if np.max(np.abs(trial[1])) <= gnorm:
+                    x1, s = x1 + y1 * step[0], s + step[1]
+                return x1, math.exp(s)
+            for _ in range(_HALVINGS):
+                trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
+                if trial[0] < phi or (
+                        trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
+                        and np.max(np.abs(trial[1])) < 0.5 * gnorm):
+                    x1, s = x1 + y1 * step[0], s + step[1]
+                    phi, g, H = trial
+                    break
+                step = step / 2
+            else:
+                break  # the line search stalled
     raise ConvergenceError(
         f"theta_0 minimization did not reach tol={_GRAD_TOL:g}")
 

@@ -155,11 +155,13 @@ def shift_direction(f: BinaryForm) -> set:
 
 def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
     """Walk integer shifts in both directions, keeping the best form seen;
-    each direction stops after `patience` consecutive non-improving steps."""
+    each direction stops after `patience` consecutive non-improving steps.
+    A shift keeps the content and the leading nonzero coefficient, so every
+    walked form is primitive, and the best one is the report's output."""
     _at_least_1(patience=patience)
     f0 = primitive(f)
     h0 = max(map(abs, f0.coeffs))
-    best_h, best_m = h0, 0
+    best_h, best_m, best = h0, 0, f0
     for direction in (1, -1):
         cur = f0
         misses = 0
@@ -167,14 +169,14 @@ def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
         while misses < patience:
             m += direction
             cur = shift(cur, direction)
-            h = max(map(abs, cur.coeffs))  # cur stays primitive
+            h = max(map(abs, cur.coeffs))
             if h < best_h:
-                best_h, best_m = h, m
+                best_h, best_m, best = h, m, cur
                 misses = 0
             else:
                 misses += 1
-    return _finish(f, shift(f0, best_m), UnimodularMatrix.translation(best_m),
-                   "shift-descent")
+    return ReductionReport(f, best, UnimodularMatrix.translation(best_m),
+                           Fraction(1), "shift-descent", h0, best_h)
 
 
 def _at_least_1(**params):

@@ -215,12 +215,69 @@ def feasible_cut(coeffs_descending, bound):
                for e in (c[-1], c[0]) for w in range(2, bound + 1))
 
 
+def _conv(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def transform_reference(coeffs_descending, a, b, c, d):
+    """Coefficients of f(a x + b y, c x + d y) in O(n^3): the powers of both
+    linear forms, convolved once per coefficient."""
+    n = len(coeffs_descending) - 1
+    row = [[1]]  # powers of (a*x + b*y)
+    for _ in range(n):
+        row.append(_conv(row[-1], [a, b]))
+    col = [[1]]  # powers of (c*x + d*y)
+    for _ in range(n):
+        col.append(_conv(col[-1], [c, d]))
+    out = [0] * (n + 1)
+    for i, coeff in enumerate(coeffs_descending):
+        if coeff == 0:
+            continue
+        term = _conv(row[n - i], col[i])
+        for j, v in enumerate(term):
+            out[j] += coeff * v
+    return tuple(out)
+
+
+def horner2_reference(coeffs, z):
+    """p(z), p'(z) and a bound on the rounding error of the p(z) evaluation,
+    by complex Horner in doubles."""
+    p = dp = 0j
+    e = 0.0
+    for c in coeffs:
+        dp = dp * z + p
+        p = p * z + c
+        e = e * abs(z) + abs(p)
+    return p, dp, e * 2.2e-16
+
+
+def polish_root_reference(coeffs, z):
+    """At most three Newton steps in doubles, then one more evaluation at
+    the result: (root, ill), ill when the rounding bound keeps the forward
+    error above ~1e-13."""
+    for _ in range(3):
+        p, dp, _ = horner2_reference(coeffs, z)
+        if dp == 0:
+            break
+        step = p / dp
+        z = z - step
+        if abs(step) < 1e-16 * (1 + abs(z)):
+            break
+    _, dp, ebound = horner2_reference(coeffs, z)
+    ill = dp == 0 or ebound / abs(dp) > 1e-13 * (1 + abs(z))
+    return z, ill
+
+
 def double_roots_reference(coeffs):
     """numpy's roots of the integer polynomial, each polished on its own by
-    `forms._polish_root`, and whether any is ill."""
-    from formred.forms import _polish_root
-
-    polished = [_polish_root(coeffs, complex(z))
+    `polish_root_reference`, and whether any is ill."""
+    polished = [polish_root_reference(coeffs, complex(z))
                 for z in np.roots([float(c) for c in coeffs])]
     return [z for z, _ in polished], any(ill for _, ill in polished)
 
@@ -419,6 +476,28 @@ def minimize_cascade(f, patience=3, bound=64, tie="away"):
     return ReductionReport(f, stage3.output, stage1.matrix @ stage2.matrix,
                            stage3.scale, "full", stage1.input_height,
                            stage3.output_height, stage1.zero_used)
+
+
+def shift_descent_reference(f, patience=3):
+    """Shift descent as a walk that keeps only the best shift m, whose form
+    shift(f0, m) then goes through `reduce._finish`."""
+    from formred import UnimodularMatrix, primitive, shift
+    from formred.reduce import _finish
+
+    f0 = primitive(f)
+    best_h, best_m = max(map(abs, f0.coeffs)), 0
+    for direction in (1, -1):
+        cur, misses, m = f0, 0, 0
+        while misses < patience:
+            m += direction
+            cur = shift(cur, direction)
+            h = max(map(abs, cur.coeffs))
+            if h < best_h:
+                best_h, best_m, misses = h, m, 0
+            else:
+                misses += 1
+    return _finish(f, shift(f0, best_m), UnimodularMatrix.translation(best_m),
+                   "shift-descent")
 
 
 def random_sl2(rng, span=5):

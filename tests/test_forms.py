@@ -8,8 +8,10 @@ from functools import reduce as fold
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import formred
+import formred.reduce
 from formred import (BinaryForm, ConvergenceError, UhpPoint, UnimodularMatrix,
                      content, from_upper_roots, height, primitive,
                      roots_upper, shift, transform)
@@ -18,7 +20,8 @@ from formred.dbgen import enumerate_ngons, lattice_points
 from formred.forms import _quadratic_product, _taylor_shift
 from conftest import (TRIANGLE_COEFFS, TRIANGLE_ROOTS, benchmark_workloads,
                       random_form, random_upper_points)
-from oracles import binomial_shift, double_roots_reference, poly_mul
+from oracles import (binomial_shift, double_roots_reference, poly_mul,
+                     polish_root_reference, transform_reference)
 
 
 def test_content_examples():
@@ -51,7 +54,8 @@ def test_form_validation():
     # reach (see test_shift_through_both_ends_zero_form)
     assert BinaryForm((0, 1, 0)).coeffs == (0, 1, 0)
     # an entry that is not an integer is refused, not truncated
-    for coeffs in ((1.7, 2), ("3", 2), (1.5, 0, 2.9), (1, Fraction(1, 2))):
+    for coeffs in ((1.7, 2), ("3", 2), (1.5, 0, 2.9), (1, Fraction(1, 2)),
+                   (float("inf"), 1), (float("nan"), 1), (None, 1), (1j, 2)):
         with pytest.raises(ValueError, match="not all integers"):
             BinaryForm(coeffs)
     # integral floats and numpy integers, in any sequence, become ints
@@ -109,7 +113,8 @@ def test_unimodular_matrix():
     assert M.det == 1
     with pytest.raises(ValueError):
         UnimodularMatrix(1, 1, 1, 1)
-    for entries in ((1.9, 0, 0, 1), (1, 0.5, 0, 1), ("1", 0, 0, 1)):
+    for entries in ((1.9, 0, 0, 1), (1, 0.5, 0, 1), ("1", 0, 0, 1),
+                    (float("inf"), 0, 0, 1), (1, None, 0, 1), (1, 0, 1j, 1)):
         with pytest.raises(ValueError, match="not all integers"):
             UnimodularMatrix(*entries)
     M = UnimodularMatrix(1.0, np.int64(2), 0, 1)
@@ -248,8 +253,10 @@ def _mignotte(d, a):
 
 
 def test_pair_polish_matches_per_root_polish():
-    # polishing each upper root and taking the conjugate for its pair gives
-    # the roots and ill flag of polishing every root, bit for bit, in order
+    # the direct companion solve, polishing each upper root once and taking
+    # the conjugate for its pair, gives np.roots polished root by root with
+    # a closing evaluation each: the same roots bit for bit, in order, and
+    # the same ill flag
     wl = benchmark_workloads()
     rows = [f.coeffs for group in wl.mixed_population(formred).values()
             for f in group]
@@ -258,7 +265,10 @@ def test_pair_polish_matches_per_root_polish():
     ngons = enumerate_ngons(lattice_points(4), 5)
     rows += [from_upper_roots([UhpPoint(x, y) for x, y in roots]).coeffs
              for i, roots in enumerate(ngons) if i % 23 == 0][:500]
-    paired = ill = 0
+    # degree 1, zero roots at the end, and totally real forms
+    rows += [(3, -7), (5, 0), (2, 0, 0), (1, -3, 2, 0, 0), (4, 0, -1, 0),
+             (1, 0, 0, 0, 1, 0), (6, -5, 1), (1, -6, 11, -6), (1, 0, -2)]
+    paired = ill = real = zero_end = 0
     for coeffs in rows:
         coeffs = forms._strip(list(coeffs))
         got, got_ill = forms._double_roots(coeffs)
@@ -268,7 +278,42 @@ def test_pair_polish_matches_per_root_polish():
         assert got_ill is want_ill, coeffs
         paired += any(z.imag < 0 for z in got)
         ill += got_ill
+        real += all(z.imag == 0 for z in got)
+        zero_end += coeffs[-1] == 0
     assert len(rows) > 1200 and paired > 1000 and ill > 0
+    assert real > 100 and zero_end > 100
+
+
+def test_polish_root_matches_reference(rng):
+    # from starts near clustered and repeated roots, where three Newton
+    # steps may leave z moving, the polish that reuses its last evaluation
+    # gives the root and ill flag of evaluating once more, bit for bit
+    rows = [_mignotte(d, a).coeffs for d in range(4, 12)
+            for a in (3, 10, 30, 100, 1000)]
+    rows += [(1, -7, 18, -20, 8), (1, -4, 6, -4, 1), (1, -10, 40, -80, 80, -32)]
+    ill = 0
+    for coeffs in rows:
+        for z0 in np.roots([float(c) for c in coeffs]):
+            for _ in range(20):
+                z = complex(z0) + complex(
+                    *rng.normal(0, 10.0 ** rng.uniform(-12, -1), 2))
+                got, want = forms._polish_root(coeffs, z), \
+                    polish_root_reference(coeffs, z)
+                assert (got[0].real.hex(), got[0].imag.hex(), got[1]) == \
+                    (want[0].real.hex(), want[0].imag.hex(), want[1]), (coeffs, z)
+                ill += got[1]
+    assert 100 < ill < 5000
+
+
+def test_double_roots_refuse_coefficients_past_the_doubles():
+    big = 10 ** 400
+    for coeffs in ((1, 0, big), (big, 1), (1, -big, 3, 1)):
+        with pytest.raises(formred.DomainError, match="2\\^1024"):
+            roots_upper(BinaryForm(coeffs))
+    with pytest.raises(formred.DomainError):
+        roots_upper(BinaryForm((1, 0, 2 ** 1024 - 2 ** 970)))
+    # a coefficient that rounds to a double is accepted
+    assert len(roots_upper(BinaryForm((1, 0, 2 ** 1023))).upper) == 1
 
 
 def _moebius_roots(M):
@@ -408,6 +453,60 @@ def test_squarefree_matches_sympy(rng):
         assert [m for _, m in got] == sorted({m for _, m in got})
         multiple += any(m > 1 for _, m in got)
     assert len(cases) >= 300 and multiple >= 150
+
+
+@st.composite
+def _sl2_words(draw):
+    """A product of T^k S factors (k up to 10^3), kept while its entries are
+    at most 10^6, and possibly a last T^k: a translation when it is alone."""
+    M = UnimodularMatrix.identity()
+    for k in draw(st.lists(st.integers(-1000, 1000), max_size=6)):
+        N = M @ UnimodularMatrix.translation(k) @ UnimodularMatrix.inversion()
+        if max(map(abs, (N.a, N.b, N.c, N.d))) > 10 ** 6:
+            break
+        M = N
+    N = M @ UnimodularMatrix.translation(draw(st.integers(-1000, 1000)))
+    return N if max(map(abs, (N.a, N.b, N.c, N.d))) <= 10 ** 6 else M
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=2, max_size=14)
+       .filter(any), _sl2_words(), _sl2_words())
+def test_transform_matches_reference(coeffs, M, N):
+    # Horner gives the coefficients of the convolution reference, and the
+    # action composes
+    f = BinaryForm(tuple(coeffs))
+    got = transform(f, M)
+    assert got.coeffs == transform_reference(f.coeffs, M.a, M.b, M.c, M.d)
+    assert transform(got, N) == transform(f, M @ N)
+
+
+def test_transform_matches_reference_in_the_pipeline(monkeypatch):
+    # every matrix that minimize and reduce_julia transform by, on every
+    # 40th r2=4 pentagon and the whole mixed population
+    seen = []
+
+    def spy(f, M):
+        seen.append((f, M))
+        return transform(f, M)
+
+    monkeypatch.setattr(formred.reduce, "transform", spy)
+    ngons = enumerate_ngons(lattice_points(4), 5)
+    fs = [from_upper_roots([UhpPoint(x, y) for x, y in roots])
+          for i, roots in enumerate(ngons) if i % 40 == 0]
+    wl = benchmark_workloads()
+    fs += [f for group in wl.mixed_population(formred).values() for f in group]
+    for f in fs:
+        for fn in (formred.reduce.minimize, formred.reduce.reduce_julia):
+            try:
+                fn(f)
+            except formred.DomainError:
+                pass
+    for f, M in seen:
+        assert transform(f, M).coeffs == \
+            transform_reference(f.coeffs, M.a, M.b, M.c, M.d), (f, M)
+    assert len(seen) > 1500 and sum(M.c != 0 for _, M in seen) > 100
+    assert sum(M.c == 0 and M.b != 0 for _, M in seen) > 500
 
 
 def test_transform_round_trip(rng):

@@ -8,7 +8,7 @@ from formred import (BinaryForm, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
                      from_upper_roots, hyperbolic_centroid, lattice_points,
                      minimize_theta0,
-                     mobius, nint,
+                     mobius, nint, primitive,
                      q_discriminant, q_of_weights, reduce_julia, roots_upper,
                      shift, theta0, transform)
 from conftest import random_upper_points
@@ -162,6 +162,23 @@ def test_restart_stability(rng, pentagon):
         zeros.append((x, y))
     # unique minimum regardless of the start
     assert np.max(np.abs(np.array(zeros) - zeros[0])) < 1e-6
+
+
+def test_flat_direction_zero_converges():
+    # real roots -1.2e7, 0, 1, 1.2e7: the Hessian turns indefinite along the
+    # nearly flat ds direction and the -g steps zigzag in x for the whole
+    # step budget; the diagonal steps reach the minimum
+    f = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
+    rs = roots_upper(f)
+    assert rs.signature == (4, 0)
+    xk, yk2, m = _root_terms(rs)
+    x, y = _julia_zero(xk, yk2, m, *_julia_start(xk, yk2))
+    G = theta0_log_gradient(rs.real, (), np.sqrt(1 / ((x - xk) ** 2 + y * y)),
+                            (), f.degree)
+    assert max(map(abs, G)) < 1e-8
+    r = reduce_julia(f)
+    assert r.output_height <= r.input_height
+    assert primitive(transform(f, r.matrix)) == r.output
 
 
 @pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])

@@ -16,7 +16,8 @@ from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
                      shift_direction, transform)
 from conftest import TRIANGLE_COEFFS, random_upper_points
 from oracles import (feasible_cut, minimize_cascade, scale_exhaustive,
-                     scale_lemma, scaled_primitive, wgcd)
+                     scale_lemma, scaled_primitive, shift_descent_reference,
+                     wgcd)
 
 # one form per stage-1 route of minimize, plus two that end otherwise
 ROUTE_FORMS = {
@@ -387,6 +388,56 @@ def test_minimize_report_or_domain_error(f):
     assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
         r.output.coeffs
     assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_forms())
+def test_reduce_julia_report_or_domain_error(f):
+    # every form gets a Julia report that its certificate checks, or a
+    # DomainError
+    try:
+        r = reduce_julia(f)
+    except DomainError:
+        return
+    assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+        r.output.coeffs
+    assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
+def test_shift_descent_matches_reference(rng):
+    # keeping the best walked form gives the report of shifting the input
+    # by the best m afterwards, for every patience
+    ngons = enumerate_ngons(lattice_points(4), 5)
+    fs = [reduce_hyperbolic(from_upper_roots(
+              [UhpPoint(x, y) for x, y in roots])).output
+          for i, roots in enumerate(ngons) if i % 97 == 0]
+    for k in range(150):  # leading coefficient zero, negative or random
+        n = int(rng.integers(1, 8))
+        coeffs = [int(v) for v in rng.integers(-60, 61, n + 1)]
+        coeffs[0] = [0, -abs(coeffs[0]) or -1, coeffs[0]][k % 3]
+        if any(coeffs):
+            fs.append(BinaryForm(tuple(coeffs)))
+    moved = 0
+    for f in fs:
+        for patience in range(1, 5):
+            r = shift_descent(f, patience)
+            assert r == shift_descent_reference(f, patience), (f, patience)
+            assert r.to_json_dict() == \
+                shift_descent_reference(f, patience).to_json_dict()
+            moved += r.matrix != UnimodularMatrix.identity()
+    assert moved > 100 and sum(f.coeffs[0] <= 0 for f in fs) > 80
+
+
+def test_coefficients_past_the_doubles_are_a_domain_error(capsys):
+    from formred.cli import main
+
+    big = 10 ** 400
+    for fn in (minimize, reduce_julia, reduce_hyperbolic, reduce_com):
+        with pytest.raises(DomainError, match="2\\^1024"):
+            fn(BinaryForm((1, 0, big)))
+    for command in (["minimize"], ["reduce", "--method", "julia"]):
+        assert main(command + ["--coeffs", f"1,0,{big}"]) == 3
+        assert "2^1024" in capsys.readouterr().err
 
 
 def test_minimize_shift_composition_equivariance(rng, triangle):
