@@ -331,22 +331,28 @@ def _polish_root(coeffs: Sequence[int], z: complex):
 
     Returns (root, ill) where ill means the evaluation rounding bound keeps
     the forward error above ~1e-13, i.e. doubles cannot certify this root.
-    The bound is that of an evaluation at the returned root: the loop's
-    last one when its step left z equal (signed zeros aside, which neither
-    |dp| nor the bound sees), else a fresh one."""
+    The steps evaluate only p and p'; the bound is computed once, by
+    `_horner2` at the returned root, whose p' is bit for bit the one a
+    further step there would see (the same Horner recurrence).  When that
+    root, its p' or its bound is not finite (a power of z overflows the
+    doubles), the unpolished start is returned with ill set, so the exact
+    route certifies the root from there."""
+    start = z
     for _ in range(3):
-        p, dp, ebound = _horner2(coeffs, z)
-        at = z
+        p = dp = 0j
+        for c in coeffs:
+            dp = dp * z + p
+            p = p * z + c
         if dp == 0:
             break
         step = p / dp
         z = z - step
         if abs(step) < 1e-16 * (1 + abs(z)):
             break
-    if z != at:
-        _, dp, ebound = _horner2(coeffs, z)
-    ill = dp == 0 or ebound / abs(dp) > 1e-13 * (1 + abs(z))
-    return z, ill
+    _, dp, ebound = _horner2(coeffs, z)
+    if z - z or dp - dp or ebound - ebound:  # nan for an infinite or nan part
+        return start, True
+    return z, dp == 0 or ebound / abs(dp) > 1e-13 * (1 + abs(z))
 
 
 def _gauss_horner(coeffs: Sequence[int], a: int, b: int, e: int):

@@ -49,9 +49,11 @@ def nint(x, mode: str = "away") -> int:
     'away' (default) from zero, 'even' banker's, 'zero' toward zero,
     'up' toward +infinity, 'up-2dp' half-up after a 2-decimal pre-round
     (the convention of the reference comparison runs).  Exact, also for
-    floats (their binary expansion): `_nint_ratio` of Fraction(x)."""
-    x = Fraction(x)
-    return _nint_ratio(x.numerator, x.denominator, mode)
+    floats (their binary expansion): `_nint_ratio` of x.as_integer_ratio(),
+    through Fraction(x) for a number without that method."""
+    if not hasattr(x, "as_integer_ratio"):
+        x = Fraction(x)
+    return _nint_ratio(*x.as_integer_ratio(), mode)
 
 
 def _nint_ratio(num, den, mode: str):
@@ -164,13 +166,17 @@ def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
 def hyperbolic_centroid(points: Sequence[UhpPoint]) -> UhpPoint:
     """The unique minimizer of sum_j ((t-x_j)^2 + (u-y_j)^2) / (u*y_j).
 
-    Closed form: t = psi(x, y), |C|^2 = psi(|z|^2, y), u^2 = |C|^2 - t^2."""
+    Closed form: t = psi(x, y), |C|^2 = psi(|z|^2, y), u^2 = |C|^2 - t^2.
+    Raises DomainError when a float |z|^2 overflows the doubles, as for the
+    roots +-1.3e154 i of x^2 + (2^1024 - 2^970 - 1) y^2."""
     if not points:
         raise ValueError("centroid of no points")
     xs = [p.t for p in points]
     ys = [p.u for p in points]
     t = psi(xs, ys)
     usq = psi([x * x + y * y for x, y in zip(xs, ys)], ys) - t * t
+    if usq - usq:  # nan for an infinite or nan float, else 0
+        raise DomainError("|z|^2 of a root overflows the doubles: no centroid")
     assert usq > 0, "centroid norm defect is positive for interior points"
     return UhpPoint(t, math.sqrt(float(usq)))
 
@@ -211,29 +217,31 @@ def reduce_to_fundamental(z: UhpPoint):
     Returns (z', M) where z' = mobius(M.inverse(), z); equivalently z' is the
     right action of M on z, so transform(f, M) is the reduced form when z is
     the zero of f.  Boundary points are normalized to the Re >= 0
-    representative."""
+    representative.  The product N = M^-1 of the steps is kept as its four
+    integer entries, (a, b, c, d) -> (a - m c, b - m d, c, d) for the
+    translation by -m and -> (-c, -d, a, b) for the inversion S, and M is
+    built once at the end, its determinant 1 checked there."""
     t, u = z.t, z.u
-    N = UnimodularMatrix.identity()
-    S = UnimodularMatrix.inversion()
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10000):
         m = nint(t, "away")
         if m != 0:
             t = t - m
-            N = UnimodularMatrix.translation(-m) @ N
+            a, b = a - m * c, b - m * d
         normsq = t * t + u * u
         if normsq < 1:
             scale = float(normsq)
             t = -float(t) / scale
             u = float(u) / scale
-            N = S @ N
+            a, b, c, d = -c, -d, a, b
         else:
             break
     else:
         raise ConvergenceError(f"fundamental-domain reduction did not settle for {z}")
     if 2 * t == -1:
         t = t + 1
-        N = UnimodularMatrix.translation(1) @ N
+        a, b = a + c, b + d
     if t * t + u * u == 1 and t < 0:
         t = -t
-        N = S @ N
-    return UhpPoint(t, u), N.inverse()
+        a, b, c, d = -c, -d, a, b
+    return UhpPoint(t, u), UnimodularMatrix(d, -b, -c, a)

@@ -27,7 +27,8 @@ from itertools import takewhile
 
 from .errors import DomainError
 from .forms import (BinaryForm, UnimodularMatrix, UpperRootSet, height,
-                    primitive, roots_upper, shift, squarefree, transform)
+                    _taylor_shift, primitive, roots_upper, shift, squarefree,
+                    transform)
 from .hyper import UhpPoint, center_of_mass, hyperbolic_centroid, nint, \
     reduce_to_fundamental
 from .julia import minimize_theta0
@@ -154,29 +155,36 @@ def shift_direction(f: BinaryForm) -> set:
 
 
 def shift_descent(f: BinaryForm, patience: int = 3) -> ReductionReport:
-    """Walk integer shifts in both directions, keeping the best form seen;
+    """Walk integer shifts in both directions, keeping the best shift seen;
     each direction stops after `patience` consecutive non-improving steps.
+
     A shift keeps the content and the leading nonzero coefficient, so every
-    walked form is primitive, and the best one is the report's output."""
+    shift of the primitive f0 is primitive, and the trailing coefficient of
+    f0(x + m y, y) is f0(m, 1).  Its height is therefore at least
+    |f0(m, 1)|, so a step where that value (Horner on f0's coefficients,
+    O(n)) is already >= the best height is a miss without building the
+    shifted form.  Only the other steps take the O(n^2) Taylor shift of f0
+    by m, and `shift` builds the winning form once, as the output."""
     _at_least_1(patience=patience)
     f0 = primitive(f)
     h0 = max(map(abs, f0.coeffs))
-    best_h, best_m, best = h0, 0, f0
+    best_h, best_m = h0, 0
     for direction in (1, -1):
-        cur = f0
-        misses = 0
-        m = 0
+        misses = m = 0
         while misses < patience:
             m += direction
-            cur = shift(cur, direction)
-            h = max(map(abs, cur.coeffs))
-            if h < best_h:
-                best_h, best_m, best = h, m, cur
-                misses = 0
-            else:
-                misses += 1
-    return ReductionReport(f, best, UnimodularMatrix.translation(best_m),
-                           Fraction(1), "shift-descent", h0, best_h)
+            end = 0
+            for c in f0.coeffs:
+                end = end * m + c
+            if abs(end) < best_h:
+                h = max(map(abs, _taylor_shift(list(f0.coeffs), m)))
+                if h < best_h:
+                    best_h, best_m, misses = h, m, 0
+                    continue
+            misses += 1
+    return ReductionReport(f, shift(f0, best_m),
+                           UnimodularMatrix.translation(best_m), Fraction(1),
+                           "shift-descent", h0, best_h)
 
 
 def _at_least_1(**params):
@@ -193,6 +201,32 @@ def _smooth(w: int, c: int) -> bool:
         w //= g
         g = math.gcd(w, c)
     return w == 1
+
+
+def _scale_pairs(c: tuple, bound: int) -> list:
+    """The (u, v) that scale_search visits, in scan order: coprime,
+    content-feasible and under the cap u^n < |c_n| h0, v^n < |c_0| h0
+    (h0 = max |c_i|), (1, 1) left out."""
+    n = len(c) - 1
+    if c[0] and c[-1]:
+        ucap, vcap = (abs(e) * max(map(abs, c)) for e in (c[-1], c[0]))
+    else:
+        ucap = vcap = math.inf
+    us = [u for u in takewhile(lambda u: u ** n < ucap, range(1, bound + 1))
+          if _smooth(u, c[-1])]
+    vs = [v for v in takewhile(lambda v: v ** n < vcap, range(1, bound + 1))
+          if _smooth(v, c[0])]
+    return sorted(
+        ((u, v) for u in us for v in vs
+         if math.gcd(u, v) == 1 and (u, v) != (1, 1)),
+        key=lambda p: (p[0] + p[1], p[0]),
+    )
+
+
+def _scaled(c: tuple, u: int, v: int) -> list:
+    """The coefficients c_i u^(n-i) v^i of f(u x, v y)."""
+    n = len(c) - 1
+    return [ci * u ** (n - i) * v ** i for i, ci in enumerate(c)]
 
 
 def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
@@ -222,34 +256,32 @@ def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
     candidate's end coefficients give h >= |c_0| u^n / g >= u^n / |c_n| and
     h >= |c_n| v^n / g >= v^n / |c_0|.  A dropped pair therefore never
     strictly beats h0, and only a strictly lower height replaces the best,
-    so the capped scan returns the same form, scale and height."""
+    so the capped scan returns the same form, scale and height.
+
+    A visited pair is expanded only when its outer terms leave room.  With
+    c_k and c_l the first and last nonzero coefficients, g divides both
+    e_k = c_k u^(n-k) v^k and e_l = c_l u^(n-l) v^l, hence their gcd G > 0,
+    so h >= max(|e_k|, |e_l|) / g >= max(|e_k|, |e_l|) // G.  A pair where
+    that is already >= the best height so far cannot strictly lower it, so
+    skipping it changes nothing.  With both ends nonzero these are the end
+    terms c_0 u^n and c_n v^n; with a zero end, the end terms' gcd would be
+    the other end term (or 0), which bounds nothing."""
     _at_least_1(bound=bound)
-    f0 = primitive(f)
-    n = f0.degree
-    c = f0.coeffs
-    h0 = max(map(abs, c))
-    if c[0] and c[-1]:
-        ucap, vcap = abs(c[-1]) * h0, abs(c[0]) * h0
-    else:
-        ucap = vcap = math.inf
-    us = [u for u in takewhile(lambda u: u ** n < ucap, range(1, bound + 1))
-          if _smooth(u, c[-1])]
-    vs = [v for v in takewhile(lambda v: v ** n < vcap, range(1, bound + 1))
-          if _smooth(v, c[0])]
-    pairs = sorted(
-        ((u, v) for u in us for v in vs
-         if math.gcd(u, v) == 1 and (u, v) != (1, 1)),
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    best = (h0, 1, 1, c)
-    for u, v in pairs:
-        g = [ci * u ** (n - i) * v ** i for i, ci in enumerate(c)]
+    c = primitive(f).coeffs
+    n = len(c) - 1
+    nonzero = [i for i, ci in enumerate(c) if ci]
+    k, l = nonzero[0], nonzero[-1]
+    best_h, best_u, best_v, best = max(map(abs, c)), 1, 1, c
+    for u, v in _scale_pairs(c, bound):
+        ek, el = c[k] * u ** (n - k) * v ** k, c[l] * u ** (n - l) * v ** l
+        if max(abs(ek), abs(el)) // math.gcd(ek, el) >= best_h:
+            continue
+        g = _scaled(c, u, v)
         h = max(map(abs, g)) // math.gcd(*g)
-        if h < best[0]:
-            best = (h, u, v, g)
-    _, u, v, g = best
-    return _finish(f, BinaryForm(tuple(g)), UnimodularMatrix.identity(),
-                   "scaling", scale=Fraction(u, v))
+        if h < best_h:
+            best_h, best_u, best_v, best = h, u, v, g
+    return _finish(f, BinaryForm(tuple(best)), UnimodularMatrix.identity(),
+                   "scaling", scale=Fraction(best_u, best_v))
 
 
 def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,

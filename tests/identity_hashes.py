@@ -8,12 +8,12 @@ Run from a checkout, once on each tree to compare:
 `--lines` prints each recipe's lines, prefixed by the recipe name, instead of
 their digest, so that two trees can be compared line by line with `diff`.
 
-The `compare`, `db`, `cli` and `julia` digests are also compared with the
-values pinned in PINNED below, and the script exits 1 if one differs.  The
-first two are exact-integer buckets and correctly rounded records, so no
-platform or refactor may move them.  The cli digest holds the `reduce` and
-`minimize` JSON of forms that take each stage-1 route, so it guards the
-root layer that feeds them.  The Julia report counts shifts of float zeros,
+The `compare`, `stages`, `db`, `cli` and `julia` digests are also compared
+with the values pinned in PINNED below, and the script exits 1 if one
+differs.  The first three are exact-integer buckets, exact integer reports
+and correctly rounded records, so no platform or refactor may move them.
+The cli digest holds the `reduce` and `minimize` JSON of forms that take
+each stage-1 route, so it guards the root layer that feeds them.  The Julia report counts shifts of float zeros,
 but a zero within 1e-9 of a half-integer counts as the exact tie, and that
 band absorbs last-bit changes of the solver: the digest has not moved since
 the batched solver came in, through changes that moved zeros in their last
@@ -28,6 +28,9 @@ Recipes (all by default):
   minimize  minimize and reduce_julia of every form of the benchmark's mixed
             population and all 11 628 r2=4 pentagons: repr of (to_json_dict(),
             scale, matrix, zero_used), or of (exception type, message).
+  stages    shift_descent at patience 1 to 4 and scale_search at bound 8
+            and 64, exact integer functions, on the mixed population and
+            every 7th r2=4 pentagon, all raw: repr of to_json_dict().
   db        the write_db files of generate_records at r2=4 k=5 and r2=3 k=8.
   cli       stdout, stderr and exit code of the README commands and of
             reduce/minimize on a few forms that take each stage-1 route.
@@ -38,6 +41,7 @@ Recipes (all by default):
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -63,20 +67,35 @@ def compare_lines():
                                                   workers=2))
 
 
-def minimize_lines():
+def mixed_and_pentagons(every):
+    """The benchmark's mixed population, then every `every`-th raw r2=4
+    pentagon."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
     forms = [f for cls in workloads.mixed_population(fr).values() for f in cls]
-    for roots in dbgen.enumerate_ngons(dbgen.lattice_points(4), 5):
+    ngons = dbgen.enumerate_ngons(dbgen.lattice_points(4), 5)
+    for roots in itertools.islice(ngons, 0, None, every):
         forms.append(fr.from_upper_roots([fr.UhpPoint(x, y) for x, y in roots]))
-    for f in forms:
+    return forms
+
+
+def minimize_lines():
+    for f in mixed_and_pentagons(1):
         for fn in (fr.minimize, fr.reduce_julia):
             try:
                 r = fn(f)
                 yield repr((r.to_json_dict(), r.scale, r.matrix, r.zero_used))
             except Exception as exc:
                 yield repr((type(exc).__name__, str(exc)))
+
+
+def stages_lines():
+    for f in mixed_and_pentagons(7):
+        for patience in range(1, 5):
+            yield repr(fr.shift_descent(f, patience).to_json_dict())
+        for bound in (8, 64):
+            yield repr(fr.scale_search(f, bound).to_json_dict())
 
 
 def db_lines():
@@ -140,13 +159,15 @@ def julia_lines():
 
 
 RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
-           "db": db_lines, "cli": cli_lines, "julia": julia_lines}
+           "stages": stages_lines, "db": db_lines, "cli": cli_lines,
+           "julia": julia_lines}
 
 PINNED = {
     "compare": "cee85b9e580720dd84370a04199e62e2eab6b35a5f28f32d3ef406506cfc8228",
     "db": "211e5158009a6375b88d3c03a936fdb1d73a3bf91454dd73a63f9329db28c8f0",
     "cli": "492738aca1838ab54bc5407313f1f56087483f63fc44f82d7f28fa72a7fad3b6",
     "julia": "ef30d0a9870ea45107365796921950f124de42b2ab88618a92c1f1c89aee140d",
+    "stages": "b7722da1c8bd14aca1b430f54a8c111c42bbf0f2486452a27e042f9ddd57d1d3",
 }
 
 

@@ -286,8 +286,9 @@ def test_pair_polish_matches_per_root_polish():
 
 def test_polish_root_matches_reference(rng):
     # from starts near clustered and repeated roots, where three Newton
-    # steps may leave z moving, the polish that reuses its last evaluation
-    # gives the root and ill flag of evaluating once more, bit for bit
+    # steps may leave z moving, the polish whose steps evaluate only p and
+    # p' gives the root and ill flag of the reference, which evaluates the
+    # bound at every step and once more at the end, bit for bit
     rows = [_mignotte(d, a).coeffs for d in range(4, 12)
             for a in (3, 10, 30, 100, 1000)]
     rows += [(1, -7, 18, -20, 8), (1, -4, 6, -4, 1), (1, -10, 40, -80, 80, -32)]
@@ -314,6 +315,20 @@ def test_double_roots_refuse_coefficients_past_the_doubles():
         roots_upper(BinaryForm((1, 0, 2 ** 1024 - 2 ** 970)))
     # a coefficient that rounds to a double is accepted
     assert len(roots_upper(BinaryForm((1, 0, 2 ** 1023))).upper) == 1
+
+
+def test_overflowing_polish_hands_the_start_to_the_exact_route():
+    # polishing -1e200, a root of x^2 + 10^200 x y + 10^300 y^2, squares it
+    # past the doubles: the polish returns the LAPACK start with ill set,
+    # and the exact route certifies both real roots from there
+    coeffs = (1, 10 ** 200, 10 ** 300)
+    z = complex(np.linalg.eigvals(np.array([[-1e200, -1e300], [1.0, 0.0]]))[0])
+    assert forms._polish_root(coeffs, z) == (z, True)
+    rs = roots_upper(BinaryForm(coeffs))
+    assert rs.upper == () and rs.real == (-1e200, -1e100)
+    # the largest coefficient that rounds to a double: roots +-2^512 i
+    rs = roots_upper(BinaryForm((1, 0, 2 ** 1024 - 2 ** 970 - 1)))
+    assert rs.real == () and [(p.t, p.u) for p in rs.upper] == [(0.0, 2.0 ** 512)]
 
 
 def _moebius_roots(M):

@@ -15,9 +15,9 @@ from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
                      roots_upper, scale_search, shift, shift_descent,
                      shift_direction, transform)
 from conftest import TRIANGLE_COEFFS, random_upper_points
-from oracles import (feasible_cut, minimize_cascade, scale_exhaustive,
-                     scale_lemma, scaled_primitive, shift_descent_reference,
-                     wgcd)
+from oracles import (feasible_cut, minimize_cascade, poly_mul,
+                     scale_exhaustive, scale_lemma, scaled_primitive,
+                     shift_descent_reference, wgcd)
 
 # one form per stage-1 route of minimize, plus two that end otherwise
 ROUTE_FORMS = {
@@ -178,6 +178,18 @@ def test_scale_search_matches_exhaustive(rng, pentagon):
         coeffs = [int(rng.integers(1, 10**10)) * int(rng.integers(1, 10**10))
                   * (1 if rng.integers(2) else -1) for _ in range(n + 1)]
         forms.append(coeffs)
+    # zero ends, blown up as above: the scan's bound then takes the first
+    # or last nonzero coefficient in place of a zero end
+    for k in range(60):
+        n = int(rng.integers(3, 7))
+        base = [int(v) for v in rng.integers(-12, 13, n + 1)]
+        base[0], base[-1] = (0, base[-1]) if k % 3 == 0 else \
+            (base[0], 0) if k % 3 == 1 else (0, 0)
+        if any(base):
+            u, v = (int(w) for w in rng.choice([1, 2, 3, 4, 6, 9], 2))
+            forms.append([c * v ** (n - i) * u ** i
+                          for i, c in enumerate(base)])
+    forms += [[0, 1, 0, 1, 0], [0, 4, 0, 1, 0], [0, 1, 0, 0, 9, 0]]
     cases = [(primitive(BinaryForm(tuple(c))), 8) for c in forms]
     cases += [(shift(pentagon, 5), 64), (BinaryForm((1, 0, 4)), 64)]
     fired = 0
@@ -417,7 +429,20 @@ def test_shift_descent_matches_reference(rng):
         coeffs[0] = [0, -abs(coeffs[0]) or -1, coeffs[0]][k % 3]
         if any(coeffs):
             fs.append(BinaryForm(tuple(coeffs)))
-    moved = 0
+    # the end value f0(m, 1) bounds the height at shift m from below; where
+    # it is 0 or small, with a zero trailing coefficient or integer roots
+    # x - r y next to the walk, it must not rule out a winning step
+    for k in range(200):
+        if k % 2:
+            coeffs = [int(v) for v in rng.integers(-40, 41, k % 7 + 1)] + [0]
+        else:
+            cofactor = rng.integers(-20, 21, int(rng.integers(1, 4)))
+            coeffs = [int(v) or 1 for v in cofactor]
+            for r in rng.integers(-6, 7, int(rng.integers(1, 4))):
+                coeffs = poly_mul(coeffs, [1, -int(r)])
+        if any(coeffs):
+            fs.append(BinaryForm(tuple(coeffs)))
+    moved = at_root = 0
     for f in fs:
         for patience in range(1, 5):
             r = shift_descent(f, patience)
@@ -425,7 +450,9 @@ def test_shift_descent_matches_reference(rng):
             assert r.to_json_dict() == \
                 shift_descent_reference(f, patience).to_json_dict()
             moved += r.matrix != UnimodularMatrix.identity()
+            at_root += r.matrix.b != 0 and primitive(f)(r.matrix.b, 1) == 0
     assert moved > 100 and sum(f.coeffs[0] <= 0 for f in fs) > 80
+    assert at_root > 50
 
 
 def test_coefficients_past_the_doubles_are_a_domain_error(capsys):
@@ -438,6 +465,20 @@ def test_coefficients_past_the_doubles_are_a_domain_error(capsys):
     for command in (["minimize"], ["reduce", "--method", "julia"]):
         assert main(command + ["--coeffs", f"1,0,{big}"]) == 3
         assert "2^1024" in capsys.readouterr().err
+
+
+def test_overflowing_double_roots_end_in_domain_errors():
+    # (1, 10^200, 10^300) gets its two real roots, so neither pipeline has a
+    # zero point; x^2 + (2^1024 - 2^970 - 1) y^2 gets its roots +-2^512 i,
+    # whose |z|^2 overflows the doubles in the hyperbolic centroid
+    f = BinaryForm((1, 10 ** 200, 10 ** 300))
+    for fn in (minimize, reduce_julia):
+        with pytest.raises(DomainError, match="signature \\(2, 0\\)"):
+            fn(f)
+    g = BinaryForm((1, 0, 2 ** 1024 - 2 ** 970 - 1))
+    for fn in (minimize, reduce_hyperbolic):
+        with pytest.raises(DomainError, match="overflows the doubles: no centroid"):
+            fn(g)
 
 
 def test_minimize_shift_composition_equivariance(rng, triangle):
@@ -492,3 +533,40 @@ assert "mpmath" not in sys.modules
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_end_value_bounds_skip_most_candidates(monkeypatch):
+    # every result equals its oracle with or without the end-value bounds,
+    # so only counting shows them at work: on the pentagon stage-1 sample,
+    # shift_descent builds 0.10 of its steps' shifted forms, and
+    # scale_search on the stage-2 forms expands 0.32 of its pairs
+    counts = dict.fromkeys(("steps", "built", "pairs", "expanded"), 0)
+
+    def counting(fn, key, size=lambda out: 1):
+        def counted(*args):
+            out = fn(*args)
+            counts[key] += size(out)
+            return out
+        return counted
+
+    monkeypatch.setattr(formred.reduce, "_taylor_shift",
+                        counting(formred.reduce._taylor_shift, "built"))
+    monkeypatch.setattr(formred.reduce, "_scale_pairs",
+                        counting(formred.reduce._scale_pairs, "pairs", len))
+    monkeypatch.setattr(formred.reduce, "_scaled",
+                        counting(formred.reduce._scaled, "expanded"))
+    # the reference walk shifts once per step, and once more at the end
+    monkeypatch.setattr(formred, "shift", counting(formred.shift, "steps"))
+    ngons = enumerate_ngons(lattice_points(4), 5)
+    fs = [reduce_hyperbolic(from_upper_roots(
+              [UhpPoint(x, y) for x, y in roots])).output
+          for i, roots in enumerate(ngons) if i % 97 == 0]
+    for f in fs:
+        for patience in range(1, 5):
+            stage2 = shift_descent(f, patience)
+            shift_descent_reference(f, patience)
+            counts["steps"] -= 1
+            scale_search(stage2.output, 64)
+    assert counts["steps"] > 2000 and counts["pairs"] > 1000
+    assert counts["built"] < 0.25 * counts["steps"]
+    assert counts["expanded"] < 0.5 * counts["pairs"]
