@@ -13,12 +13,12 @@ with the values pinned in PINNED below, and the script exits 1 if one
 differs.  The first three are exact-integer buckets, exact integer reports
 and correctly rounded records, so no platform or refactor may move them.
 The cli digest holds the `reduce` and `minimize` JSON of forms that take
-each stage-1 route, so it guards the root layer that feeds them.  The Julia report counts shifts of float zeros,
-but a zero within 1e-9 of a half-integer counts as the exact tie, and that
-band absorbs last-bit changes of the solver: the digest has not moved since
-the batched solver came in, through changes that moved zeros in their last
-bits.  A change that means to move a pinned digest re-pins it in the same
-commit.
+each stage-1 route, so it guards the root layer that feeds them.  The Julia
+report counts shifts of float zeros, but a zero within 1e-9 of a
+half-integer counts as the exact tie, and that band absorbs last-bit changes
+of the solver: the digest has not moved since the batched solver came in,
+through changes that moved zeros in their last bits.  A change that means
+to move a pinned digest re-pins it in the same commit.
 
 Recipes (all by default):
   compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
