@@ -18,12 +18,15 @@ real root and 2 for a pair.  Its minimizer, found by damped Newton, is the
 Julia zero, and the weights there give the Julia quadratic.
 
 One kernel, `_phi`, gives Phi with its derivatives from x_k, y_k^2 and m_k
-(m per root): numbers for one form (`_julia_zero`), numpy columns for a block
-of forms (`_julia_zeros`); `_julia_start` gives both Newton's start.
+(m per root): Python floats for one form (`_julia_zero`), numpy columns for a
+block of forms (`_julia_zeros`); `_julia_start` gives both Newton's start.
+Its exp and log are numpy's on both paths, since math.exp and math.log can
+differ from them in the last bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -99,10 +102,14 @@ def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
 def _root_terms(roots: UpperRootSet):
     """x_k, y_k^2 and m_k of the terms of Phi, real roots first."""
     r, s = roots.signature
+    try:
+        y2 = [float(b.u) ** 2 for b in roots.upper]
+    except OverflowError:
+        raise DomainError("|z|^2 of a root overflows the doubles: no Julia "
+                          "zero") from None
     return (np.array([float(v) for v in roots.real]
                      + [float(b.t) for b in roots.upper]),
-            np.array([0.0] * r + [float(b.u) ** 2 for b in roots.upper]),
-            np.array([1.0] * r + [2.0] * s))
+            np.array([0.0] * r + y2), np.array([1.0] * r + [2.0] * s))
 
 
 def _julia_start(X, Y2):
@@ -116,45 +123,75 @@ def _julia_start(X, Y2):
     return x, np.sqrt((W * (d * d + Y2)).sum(axis=-1) / w)
 
 
+_AS_IS = contextlib.nullcontext()  # leaves numpy's errstate as it is
+
+
 def _phi(X, Y2, m, x, s):
     """Phi at the zero (x, e^s), its frame gradient (y dPhi/dx, dPhi/ds) and
     Hessian (h00, h01, h11) in the frame (dx / y, ds), Phi = inf where any is
-    not finite.  X and Y2 hold x_k and y_k^2 as (K,) arrays with x, s numbers,
-    or as (rows, K) arrays with x, s of shape (rows,); m has shape (K,)."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = np.exp(s)
+    not finite.  X, Y2 and m hold x_k, y_k^2 and m_k per root: floats for
+    one form, with x and s floats, which takes one np.exp and one np.log of
+    its K values D_k, or for a block columns of shape (rows,), as x and s
+    are."""
+    one = not isinstance(s, np.ndarray)
+    # numpy warns only where e^s overflows or a D_k is 0 (y underflows at a
+    # real root); one form returns Phi = inf at a D_k = 0 before its float
+    # division would raise, so below e^709 it needs no errstate
+    with (_AS_IS if one and s < 709 else
+          np.errstate(over="ignore", divide="ignore", invalid="ignore")):
+        y = float(np.exp(s)) if one else np.exp(s)
         yy, y2, yy2 = y * y, 2 * y, 2 * y * y
+        d = [x - xk for xk in X]
+        D = [dk * dk + yy + yk2 for dk, yk2 in zip(d, Y2)]
+        if one and not all(D):
+            return math.inf, (math.nan, math.nan), (math.nan,) * 3
+        log_d = np.log(D).tolist() if one else map(np.log, D)
         n = phi = g0 = q = a00 = a01 = a11 = 0.0
-        for xk, yk2, mk in zip(X.T, Y2.T, m):
+        for dk, Dk, lk, mk in zip(d, D, log_d, m):
             # the term m_k log D_k, its frame gradient m_k (e0, e1) and the
             # sums of m_k e_i e_j that the Hessian subtracts
-            d = x - xk
-            D = d * d + yy + yk2
-            e0, e1 = y2 * d / D, yy2 / D
+            e0, e1 = y2 * dk / Dk, yy2 / Dk
             me0, me1 = mk * e0, mk * e1
             n += mk
-            phi = phi + mk * np.log(D)
+            phi = phi + mk * lk
             g0, q = g0 + me0, q + me1
             a00, a01, a11 = a00 + me0 * e0, a01 + me0 * e1, a11 + me1 * e1
-        P = np.array((phi - n * s, g0, q - n, q - a00, -a01, 2 * q - a11))
+        P = (phi - n * s, g0, q - n, q - a00, -a01, 2 * q - a11)
+    if one:
+        phi = P[0] if all(map(math.isfinite, P)) else math.inf
+        return phi, P[1:3], P[3:]
+    P = np.array(P)
     P[0, ...][~np.isfinite(P).all(axis=0)] = math.inf  # P[0, ...] is a view
     return P[0], P[1:3], P[3:]
 
 
 def _newton_step(g, H, diagonal=False):
-    """The Newton step -H^-1 g of the frame gradient g and Hessian H, or -g
-    where H is not positive definite; closed-form 2x2 solve.  With
-    `diagonal`, such a step is -g_i / h_ii instead where both h_ii > 0."""
+    """The Newton step -H^-1 g of one form's frame gradient g and Hessian H,
+    or -g where H is not positive definite; closed-form 2x2 solve in floats.
+    With `diagonal`, such a step is -g_i / h_ii instead where both h_ii > 0."""
+    (g0, g1), (h00, h01, h11) = g, H
+    det = h00 * h11 - h01 * h01
+    if h00 > 0 and det > 0:
+        return (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+    if diagonal and h00 > 0 and h11 > 0:
+        return -g0 / h00, -g1 / h11
+    return -g0, -g1
+
+
+def _newton_steps(g, H):
+    """`_newton_step` without `diagonal`, on a block's columns."""
     h00, h01, h11 = H
     det = h00 * h11 - h01 * h01
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        other = -g
-        if diagonal:
-            other = np.where((h00 > 0) & (h11 > 0), other / np.array((h00, h11)),
-                             other)
         return np.where((h00 > 0) & (det > 0),
                         np.array((h01 * g[1] - h11 * g[0],
-                                  h01 * g[0] - h00 * g[1])) / det, other)
+                                  h01 * g[0] - h00 * g[1])) / det, -g)
+
+
+def _absmax(g):
+    """max |g_i| of one form's frame gradient; nan if either is nan."""
+    a, b = abs(g[0]), abs(g[1])
+    return a if a >= b or a != a else b
 
 
 # Both solvers stop at a hyperbolic gradient below _GRAD_TOL, halve a rejected
@@ -177,30 +214,32 @@ def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
     direction those steps can zigzag until the step budget runs out, as for
     the roots -1.2e7, 0, 1, 1.2e7; when the line search stalls or the budget
     runs out, the solve starts over with _newton_step's diagonal steps, and
-    raises ConvergenceError only when that fails as well."""
+    raises ConvergenceError only when that fails as well.  It runs on Python
+    floats."""
+    X, Y2, m = X.tolist(), Y2.tolist(), m.tolist()
     for diagonal in (False, True):
-        x1, s = x, math.log(y)
+        x1, s = float(x), math.log(y)
         phi, g, H = _phi(X, Y2, m, x1, s)
         for _ in range(_MAX_STEPS):
-            gnorm = np.max(np.abs(g))
+            gnorm = _absmax(g)
             step = _newton_step(g, H, diagonal)
             y1 = math.exp(s)
             if gnorm < _GRAD_TOL:
                 # the test bounds the error only up to the Hessian's
                 # conditioning; one more step from here lands at rounding level
                 trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
-                if np.max(np.abs(trial[1])) <= gnorm:
+                if _absmax(trial[1]) <= gnorm:
                     x1, s = x1 + y1 * step[0], s + step[1]
                 return x1, math.exp(s)
             for _ in range(_HALVINGS):
                 trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
                 if trial[0] < phi or (
                         trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
-                        and np.max(np.abs(trial[1])) < 0.5 * gnorm):
+                        and _absmax(trial[1]) < 0.5 * gnorm):
                     x1, s = x1 + y1 * step[0], s + step[1]
                     phi, g, H = trial
                     break
-                step = step / 2
+                step = step[0] / 2, step[1] / 2
             else:
                 break  # the line search stalled
     raise ConvergenceError(
@@ -215,7 +254,7 @@ def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x, y):
     whose line search stalled or ran out of steps, where (x, y) is
     meaningless."""
     x, s = np.array(x, dtype=np.float64), np.log(y)
-    phi, g, H = _phi(X, Y2, m, x, s)
+    phi, g, H = _phi(X.T, Y2.T, m, x, s)
     stalled = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
     for _ in range(_MAX_STEPS):
@@ -223,13 +262,13 @@ def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x, y):
             break
         gl = g[:, live]
         gnorm = np.abs(gl).max(axis=0)
-        step = _newton_step(gl, H[:, live])
+        step = _newton_steps(gl, H[:, live])
         y = np.exp(s[live])
         done = gnorm < _GRAD_TOL
         # converged rows: one more step unless it raises the gradient
         rows = live[done]
         xt, st = x[rows] + y[done] * step[0, done], s[rows] + step[1, done]
-        gt = _phi(X[rows], Y2[rows], m, xt, st)[1]
+        gt = _phi(X[rows].T, Y2[rows].T, m, xt, st)[1]
         better = np.abs(gt).max(axis=0) <= gnorm[done]
         x[rows[better]], s[rows[better]] = xt[better], st[better]
         # the others: a line search of at most _HALVINGS halvings
@@ -240,7 +279,7 @@ def _julia_zeros(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x, y):
             if not rows.size:
                 break
             xt, st = x[rows] + y * step[0], s[rows] + step[1]
-            pt, gt, ht = _phi(X[rows], Y2[rows], m, xt, st)
+            pt, gt, ht = _phi(X[rows].T, Y2[rows].T, m, xt, st)
             p0 = phi[rows]
             ok = (pt < p0) | ((pt < p0 + _PHI_RTOL * (1 + abs(p0)))
                               & (np.abs(gt).max(axis=0) < 0.5 * gnorm))

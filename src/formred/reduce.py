@@ -206,12 +206,9 @@ def _smooth(w: int, c: int) -> bool:
 def _scale_pairs(c: tuple, bound: int) -> list:
     """The (u, v) that scale_search visits, in scan order: coprime,
     content-feasible and under the cap u^n < |c_n| h0, v^n < |c_0| h0
-    (h0 = max |c_i|), (1, 1) left out."""
+    (h0 = max |c_i|), (1, 1) left out; c is scale_search's stripped form."""
     n = len(c) - 1
-    if c[0] and c[-1]:
-        ucap, vcap = (abs(e) * max(map(abs, c)) for e in (c[-1], c[0]))
-    else:
-        ucap = vcap = math.inf
+    ucap, vcap = (abs(e) * max(map(abs, c)) for e in (c[-1], c[0]))
     us = [u for u in takewhile(lambda u: u ** n < ucap, range(1, bound + 1))
           if _smooth(u, c[-1])]
     vs = [v for v in takewhile(lambda v: v ** n < vcap, range(1, bound + 1))
@@ -236,52 +233,58 @@ def scale_search(f: BinaryForm, bound: int = 64) -> ReductionReport:
     minimal-height one wins, with ties resolved to lambda = 1 first and then
     to the smallest (u + v, u).
 
-    Only content-feasible scalings are visited: every prime of u divides the
-    trailing coefficient c_n and every prime of v divides the leading c_0.
-    A prime p of u that does not divide c_n cannot divide c_n v^n, hence not
-    the content.  Dividing every p out of u therefore leaves the content
+    With c_k and c_l the first and last nonzero coefficients, f(u x, v y) is
+    u^(n-l) v^k x^(n-l) y^k s(u x, v y), s the stripped form c_k..c_l of
+    degree n' = l - k, so both have the same height at every (u, v).  s is
+    primitive with both ends nonzero, and the pairs come from s.
+
+    Only content-feasible scalings are visited: every prime of u divides c_l
+    and every prime of v divides c_k.  A prime p of u that does not divide
+    c_l cannot divide c_l v^n', the last coefficient of s(u x, v y), hence
+    not its content.  Dividing every p out of u therefore leaves the content
     unchanged while no coefficient grows, so the height does not go up, and
-    it lowers u + v: that candidate comes earlier in the scan.  The
-    same holds for v against c_0.  So the first minimum of the full scan is
+    it lowers u + v: that candidate comes earlier in the scan.  The same
+    holds for v against c_k.  So the first minimum of the full scan is
     always feasible, and the pruned scan returns the same form, scale and
-    height.  A zero end coefficient admits every u (or v); monic forms only
-    need v = 1.
+    height; monic forms only need v = 1.
 
-    When both ends are nonzero the scan is also capped: it drops every u
-    with u^n >= |c_n| h0 and every v with v^n >= |c_0| h0, h0 the input's
-    height.  With gcd(u, v) = 1 and c primitive, a prime of u divides the
-    content g of the candidate at most to its power in c_n v^n, that is in
-    c_n, and a prime of v at most to its power in c_0; no other prime
-    divides g.  So g = g_u g_v with g_u | c_n and g_v | c_0, and the
-    candidate's end coefficients give h >= |c_0| u^n / g >= u^n / |c_n| and
-    h >= |c_n| v^n / g >= v^n / |c_0|.  A dropped pair therefore never
-    strictly beats h0, and only a strictly lower height replaces the best,
-    so the capped scan returns the same form, scale and height.
+    The scan is also capped: it drops every u with u^n' >= |c_l| h0 and
+    every v with v^n' >= |c_k| h0, h0 the input's height.  With
+    gcd(u, v) = 1 and s primitive, a prime of u divides the content g of
+    s(u x, v y) at most to its power in c_l v^n', that is in c_l, and a
+    prime of v at most to its power in c_k; no other prime divides g.  So
+    g = g_u g_v with g_u | c_l and g_v | c_k, and the end coefficients give
+    h >= |c_k| u^n' / g >= u^n' / |c_l| and h >= |c_l| v^n' / g >=
+    v^n' / |c_k|.  A dropped pair therefore never strictly beats h0, and
+    only a strictly lower height replaces the best, so the capped scan
+    returns the same form, scale and height.
 
-    A visited pair is expanded only when its outer terms leave room.  With
-    c_k and c_l the first and last nonzero coefficients, g divides both
-    e_k = c_k u^(n-k) v^k and e_l = c_l u^(n-l) v^l, hence their gcd G > 0,
-    so h >= max(|e_k|, |e_l|) / g >= max(|e_k|, |e_l|) // G.  A pair where
+    A visited pair is expanded only when its outer terms leave room.  The
+    content g of f(u x, v y) divides both e_k = c_k u^(n-k) v^k and
+    e_l = c_l u^(n-l) v^l, hence their gcd G > 0, so
+    h >= max(|e_k|, |e_l|) / g >= max(|e_k|, |e_l|) // G.  A pair where
     that is already >= the best height so far cannot strictly lower it, so
-    skipping it changes nothing.  With both ends nonzero these are the end
-    terms c_0 u^n and c_n v^n; with a zero end, the end terms' gcd would be
-    the other end term (or 0), which bounds nothing."""
+    skipping it changes nothing."""
     _at_least_1(bound=bound)
-    c = primitive(f).coeffs
+    f0 = primitive(f)
+    c = f0.coeffs
     n = len(c) - 1
     nonzero = [i for i, ci in enumerate(c) if ci]
     k, l = nonzero[0], nonzero[-1]
-    best_h, best_u, best_v, best = max(map(abs, c)), 1, 1, c
-    for u, v in _scale_pairs(c, bound):
+    h0 = max(map(abs, c))
+    best_h, best_u, best_v, best = h0, 1, 1, f0
+    for u, v in _scale_pairs(c[k:l + 1], bound):
         ek, el = c[k] * u ** (n - k) * v ** k, c[l] * u ** (n - l) * v ** l
         if max(abs(ek), abs(el)) // math.gcd(ek, el) >= best_h:
             continue
         g = _scaled(c, u, v)
-        h = max(map(abs, g)) // math.gcd(*g)
+        content = math.gcd(*g)
+        h = max(map(abs, g)) // content
         if h < best_h:
-            best_h, best_u, best_v, best = h, u, v, g
-    return _finish(f, BinaryForm(tuple(best)), UnimodularMatrix.identity(),
-                   "scaling", scale=Fraction(best_u, best_v))
+            best_h, best_u, best_v = h, u, v
+            best = BinaryForm(tuple(ci // content for ci in g))
+    return ReductionReport(f, best, UnimodularMatrix.identity(),
+                           Fraction(best_u, best_v), "scaling", h0, best_h)
 
 
 def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,

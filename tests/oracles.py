@@ -204,12 +204,11 @@ def feasible_cut(coeffs_descending, bound):
     """Whether the exact cap of the scaling scan drops a content-feasible
     u or v up to `bound`: some u <= bound whose primes all divide c_n has
     u^n >= |c_n| h, or some v whose primes all divide c_0 has
-    v^n >= |c_0| h (h the height of the primitive form).  False when an
-    end coefficient is zero, where the cap is off."""
-    c = coeffs_descending
+    v^n >= |c_0| h (h the height of the primitive form), with the zero end
+    coefficients stripped first."""
+    nonzero = [i for i, x in enumerate(coeffs_descending) if x]
+    c = coeffs_descending[nonzero[0]:nonzero[-1] + 1]
     n, h = len(c) - 1, max(abs(x) for x in c)
-    if c[0] == 0 or c[-1] == 0:
-        return False
     # every prime of w divides e exactly when w divides e^w (as w < 2^w)
     return any(w ** n >= abs(e) * h and pow(e, w, w) == 0
                for e in (c[-1], c[0]) for w in range(2, bound + 1))
@@ -573,3 +572,77 @@ def rounded_roots(coeffs_descending):
             if z.imag > 0:
                 upper += [(z.real, z.imag)] * m
     return sorted(real), sorted(upper)
+
+
+def _phi_reference(X, Y2, m, x, s):
+    """Phi(x, e^s) = sum m_k log D_k - n s, D_k = (x - x_k)^2 + y^2 + y_k^2,
+    its frame gradient (y dPhi/dx, dPhi/ds) and Hessian (h00, h01, h11) in
+    the frame (dx / y, ds), term by term on numpy float64 scalars; Phi = inf
+    where any is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = np.exp(s)
+        yy, y2, yy2 = y * y, 2 * y, 2 * y * y
+        n = phi = g0 = q = a00 = a01 = a11 = 0.0
+        for xk, yk2, mk in zip(X, Y2, m):
+            d = x - xk
+            D = d * d + yy + yk2
+            e0, e1 = y2 * d / D, yy2 / D
+            me0, me1 = mk * e0, mk * e1
+            n += mk
+            phi = phi + mk * np.log(D)
+            g0, q = g0 + me0, q + me1
+            a00, a01, a11 = a00 + me0 * e0, a01 + me0 * e1, a11 + me1 * e1
+        P = np.array((phi - n * s, g0, q - n, q - a00, -a01, 2 * q - a11))
+    if not np.isfinite(P).all():
+        P[0] = math.inf
+    return P[0], P[1:3], P[3:]
+
+
+def _newton_step_reference(g, H, diagonal):
+    """-H^-1 g by the closed-form 2x2 solve on numpy values, or -g (-g_i /
+    h_ii with `diagonal` where both h_ii > 0) where H is not positive
+    definite."""
+    h00, h01, h11 = H
+    det = h00 * h11 - h01 * h01
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        other = -g
+        if diagonal:
+            other = np.where((h00 > 0) & (h11 > 0),
+                             other / np.array((h00, h11)), other)
+        return np.where((h00 > 0) & (det > 0),
+                        np.array((h01 * g[1] - h11 * g[0],
+                                  h01 * g[0] - h00 * g[1])) / det, other)
+
+
+def julia_zero_reference(X, Y2, m, x, y):
+    """The single-form damped Newton for the Julia zero on numpy scalars,
+    with `julia._julia_zero`'s start, steps, line search, stopping rule and
+    diagonal restart; (x, y), or None where both passes fail."""
+    from formred.julia import _GRAD_TOL, _HALVINGS, _MAX_STEPS, _PHI_RTOL
+
+    for diagonal in (False, True):
+        x1, s = x, math.log(y)
+        phi, g, H = _phi_reference(X, Y2, m, x1, s)
+        for _ in range(_MAX_STEPS):
+            gnorm = np.max(np.abs(g))
+            step = _newton_step_reference(g, H, diagonal)
+            y1 = math.exp(s)
+            if gnorm < _GRAD_TOL:
+                trial = _phi_reference(X, Y2, m, x1 + y1 * step[0],
+                                       s + step[1])
+                if np.max(np.abs(trial[1])) <= gnorm:
+                    x1, s = x1 + y1 * step[0], s + step[1]
+                return x1, math.exp(s)
+            for _ in range(_HALVINGS):
+                trial = _phi_reference(X, Y2, m, x1 + y1 * step[0],
+                                       s + step[1])
+                if trial[0] < phi or (
+                        trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
+                        and np.max(np.abs(trial[1])) < 0.5 * gnorm):
+                    x1, s = x1 + y1 * step[0], s + step[1]
+                    phi, g, H = trial
+                    break
+                step = step / 2
+            else:
+                break
+    return None

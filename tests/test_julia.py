@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from formred import (BinaryForm, DomainError, JuliaWeights,
+import formred.julia
+from formred import (BinaryForm, ConvergenceError, DomainError, JuliaWeights,
                      UhpPoint, UnimodularMatrix, UpperRootSet,
                      from_upper_roots, hyperbolic_centroid, lattice_points,
                      minimize_theta0,
@@ -14,7 +16,8 @@ from formred import (BinaryForm, DomainError, JuliaWeights,
 from conftest import random_upper_points
 from formred.julia import (_julia_start, _julia_zero, _julia_zeros, _phi,
                            _root_terms)
-from oracles import julia_zero_grid, random_sl2, theta0_log_gradient
+from oracles import (julia_zero_grid, julia_zero_reference, random_sl2,
+                     theta0_log_gradient)
 
 TRI_JULIA_ZERO = (10.5663210488, 15.8456762537)  # grid + Nelder-Mead oracle
 
@@ -183,18 +186,85 @@ def test_flat_direction_zero_converges():
 
 @pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])
 def test_phi_numbers_match_columns(rng, r, s):
-    # one form's entries as numbers against a block's columns at its row
+    # one form's entries as floats against a block's columns at its row:
+    # the same operations in the same order, so the same bits
     rows = 40
     X = np.hstack((rng.uniform(-20, 20, (rows, r)),
                    rng.uniform(-20, 20, (rows, s))))
     Y2 = np.hstack((np.zeros((rows, r)), rng.uniform(0.1, 20, (rows, s)) ** 2))
     m = np.array([1.0] * r + [2.0] * s)
     x, lny = rng.uniform(-30, 30, rows), rng.uniform(-3, 4, rows)
-    block = _phi(X, Y2, m, x, lny)
+    block = _phi(X.T, Y2.T, m, x, lny)
     for i in range(rows):
-        single = _phi(X[i], Y2[i], m, float(x[i]), float(lny[i]))
+        single = _phi(X[i].tolist(), Y2[i].tolist(), m.tolist(), float(x[i]),
+                      float(lny[i]))
         for a, b in zip(single, block):
-            np.testing.assert_allclose(a, b[..., i], rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(np.array(a), b[..., i])
+
+
+def test_phi_logs_are_numpys(rng):
+    # one root pair at x = 0 with y_k^2 = D - 1 gives Phi(0, 1) = 2 log D
+    # exactly, for D in [1, 2); on x86-64 with AVX-512 math.log differs from
+    # numpy's log in the last bit at about 0.3 % of these D, so the values
+    # where they differ come first
+    D = (1 + rng.random(20000)).tolist()
+    logs = np.log(D).tolist()
+    pairs = sorted(zip(D, logs), key=lambda p: math.log(p[0]) == p[1])
+    for d, log_d in pairs[:200]:
+        assert _phi([0.0], [d - 1], [2.0], 0.0, 0.0)[0] == 2 * log_d
+
+
+@st.composite
+def _root_sets(draw):
+    """x_k, y_k^2 and m_k of a totally real (3 to 6 distinct real roots),
+    mixed or totally complex root set on the grid (1/8) Z, and a start."""
+    kind = draw(st.sampled_from(["real", "mixed", "complex"]))
+    r = (draw(st.integers(3, 6)) if kind == "real"
+         else draw(st.integers(1, 4)) if kind == "mixed" else 0)
+    s = 0 if kind == "real" else draw(st.integers(1, 4))
+    real = draw(st.lists(st.integers(-160, 160), min_size=r, max_size=r,
+                         unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(-160, 160),
+                                    st.integers(1, 160)),
+                          min_size=s, max_size=s))
+    X = np.array([v / 8 for v in real] + [t / 8 for t, _ in pairs])
+    Y2 = np.array([0.0] * r + [(u / 8) ** 2 for _, u in pairs])
+    m = np.array([1.0] * r + [2.0] * s)
+    return X, Y2, m, draw(st.floats(-30, 30)), math.exp(draw(st.floats(-3, 4)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_root_sets())
+def test_julia_zero_matches_numpy_reference(case):
+    # the float solve takes the numpy-scalar solve's steps bit for bit
+    try:
+        got = [float(v).hex() for v in _julia_zero(*case)]
+    except ConvergenceError:
+        got = None
+    want = julia_zero_reference(*case)
+    assert got == (want and [float(v).hex() for v in want])
+
+
+def test_underflowing_trial_point_is_rejected(monkeypatch):
+    # at s = -800, y = e^s underflows to 0, so D_k = 0 at the real root 0:
+    # Phi is inf on both paths, and a solve whose first step lands there
+    # halves it, without a ZeroDivisionError
+    X, Y2, m = np.array([0.0, 1.0, 3.0]), np.zeros(3), np.ones(3)
+    assert _phi(X.tolist(), Y2.tolist(), m.tolist(), 0.0, -800.0)[0] == \
+        math.inf
+    assert _phi(X[:, None], Y2[:, None], m, np.zeros(1),
+                np.full(1, -800.0))[0][0] == math.inf
+    want = _julia_zero(X, Y2, m, 0.0, 1.0)
+    step, steps = formred.julia._newton_step, []
+
+    def first_step_down(g, H, diagonal=False):
+        steps.append(g)
+        return (0.0, -800.0) if len(steps) == 1 else step(g, H, diagonal)
+
+    monkeypatch.setattr(formred.julia, "_newton_step", first_step_down)
+    x, y = _julia_zero(X, Y2, m, 0.0, 1.0)
+    assert len(steps) > 1
+    assert abs(x - want[0]) < 1e-9 and abs(y - want[1]) < 1e-9
 
 
 def test_julia_start_is_hyperbolic_centroid(rng):

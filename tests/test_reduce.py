@@ -160,7 +160,7 @@ def test_scale_search_matches_exhaustive(rng, pentagon):
         if coeffs[0] == 0 or coeffs[-1] == 0:
             continue
         forms.append(coeffs)
-    for _ in range(30):  # one zero end: every u (or v) is feasible
+    for _ in range(30):  # one zero end: the pairs come from the stripped form
         n = int(rng.integers(2, 6))
         coeffs = [int(v) for v in rng.integers(-60, 61, n + 1)]
         coeffs[0 if rng.integers(2) else -1] = 0
@@ -205,7 +205,8 @@ def test_scale_search_matches_exhaustive(rng, pentagon):
 def test_scale_search_cap_matches_exhaustive(rng):
     # at bound 64, where the exact cap u^n < |c_n| h0, v^n < |c_0| h0 drops
     # content-feasible scalings: pentagon stage-2 outputs, degree 6-10 forms
-    # with smooth ends, and zero-end forms, where the cap is off
+    # with smooth ends, and zero-end forms, capped through their stripped
+    # forms
     forms = []
     for i, roots in enumerate(enumerate_ngons(lattice_points(4), 5)):
         if i % 997 == 0:
@@ -235,6 +236,51 @@ def test_scale_search_cap_matches_exhaustive(rng):
             (scaled_primitive(f.coeffs, lam), lam, h), f
         cut += feasible_cut(f.coeffs, 64)
     assert cut >= 10
+
+
+def test_zero_end_scale_pairs_are_capped(monkeypatch):
+    # the stage-2 form (0, 28, 18, -27, 30) takes its pairs from the stripped
+    # 28 x^3 + 18 x^2 y - 27 x y^2 + 30 y^3: u^3 < 30 * 30, v^3 < 28 * 30
+    # leave 27 of the 843 pairs that an uncapped zero end lists
+    f = BinaryForm((0, 28, 18, -27, 30))
+    pairs = formred.reduce._scale_pairs
+    listed = []
+    monkeypatch.setattr(formred.reduce, "_scale_pairs",
+                        lambda c, bound: listed.append(pairs(c, bound))
+                        or listed[-1])
+    r = scale_search(f, bound=64)
+    assert listed == [pairs((28, 18, -27, 30), 64)]
+    assert len(listed[0]) <= 27
+    assert (r.output_height, r.scale) == scale_exhaustive(f.coeffs, 64)
+
+
+@st.composite
+def _forms_with_zeros(draw):
+    """Primitive forms with zero coefficients at one end, at both ends or
+    inside, most of them blown up by c_i v^(n-i) u^i so that a scaling
+    wins."""
+    kind = draw(st.sampled_from(["lead", "trail", "both", "inside"]))
+    n = draw(st.integers(3, 8))
+    c = draw(st.lists(st.integers(-30, 30).filter(bool), min_size=n + 1,
+                      max_size=n + 1))
+    lead = draw(st.integers(1, n - 1)) if kind in ("lead", "both") else 0
+    trail = draw(st.integers(1, n - lead)) if kind in ("trail", "both") else 0
+    c[:lead] = [0] * lead
+    c[n + 1 - trail:] = [0] * trail
+    if kind == "inside":
+        c[draw(st.integers(1, n - 1))] = 0
+    u, v = draw(st.sampled_from([(1, 1), (2, 1), (1, 3), (4, 3), (2, 9)]))
+    return primitive(BinaryForm(tuple(ci * v ** (n - i) * u ** i
+                                      for i, ci in enumerate(c))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_forms_with_zeros())
+def test_scale_search_with_zeros_matches_exhaustive(f):
+    r = scale_search(f, bound=64)
+    h, lam = scale_exhaustive(f.coeffs, 64)
+    assert (r.output.coeffs, r.scale, r.output_height) == \
+        (scaled_primitive(f.coeffs, lam), lam, h)
 
 
 def test_scale_search_bound_stability(triangle, pentagon):
@@ -470,14 +516,17 @@ def test_coefficients_past_the_doubles_are_a_domain_error(capsys):
 def test_overflowing_double_roots_end_in_domain_errors():
     # (1, 10^200, 10^300) gets its two real roots, so neither pipeline has a
     # zero point; x^2 + (2^1024 - 2^970 - 1) y^2 gets its roots +-2^512 i,
-    # whose |z|^2 overflows the doubles in the hyperbolic centroid
+    # whose |z|^2 overflows the doubles in the hyperbolic centroid and the
+    # Julia solve
     f = BinaryForm((1, 10 ** 200, 10 ** 300))
     for fn in (minimize, reduce_julia):
         with pytest.raises(DomainError, match="signature \\(2, 0\\)"):
             fn(f)
     g = BinaryForm((1, 0, 2 ** 1024 - 2 ** 970 - 1))
-    for fn in (minimize, reduce_hyperbolic):
-        with pytest.raises(DomainError, match="overflows the doubles: no centroid"):
+    for fn, what in ((minimize, "centroid"), (reduce_hyperbolic, "centroid"),
+                     (reduce_julia, "Julia zero")):
+        with pytest.raises(DomainError,
+                           match=f"overflows the doubles: no {what}"):
             fn(g)
 
 
