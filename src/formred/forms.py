@@ -106,8 +106,10 @@ class UnimodularMatrix:
 @dataclass(frozen=True)
 class UpperRootSet:
     """Roots of a real form split into upper half-plane representatives and
-    real roots; n = len(real) + 2*len(upper).  A root at infinity (leading
-    coefficient zero) is reported as math.inf in `real`."""
+    real roots, each with its multiplicity; n = len(real) + 2*len(upper).  A
+    root at infinity (leading coefficient zero) is reported as math.inf in
+    `real`.  `repeated` says that some root has multiplicity above 1, as
+    roots_upper proved it."""
 
     upper: tuple
     real: tuple[float, ...]
@@ -448,6 +450,7 @@ def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     After pass 1 fails, squarefree runs once: a repeated root's factors are
     solved one by one, a squarefree polynomial by later passes, which raise
     ConvergenceError past 64 bits below Mahler's bound or at a non-finite start.
+    Returns the roots and whether that split found a multiplicity above 1.
     """
     out, parts, todo = [], None, [(coeffs, start, True, 1)]
     while todo:
@@ -502,22 +505,26 @@ def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
         else:
             raise ConvergenceError(f"roots of {coeffs} not certified")
         out += [complex(a / 2**g, b / 2**g) for a, b, g, _ in discs] * m
-    return out
+    return out, any(k > 1 for _, k in parts or ())
 
 
 def roots_upper(f: BinaryForm) -> UpperRootSet:
-    """Numeric roots of f split by half-plane.
+    """Roots of f split by half-plane, as root finding proved them.
 
-    Roots with imaginary part above 1e-8*(1 + |root|) are classified as
-    upper, |Im| at most that band as real, the rest as lower-half conjugates;
-    two roots within that band are repeated.  Leading zero coefficients
-    become real roots at infinity (repeated when there are two or more).
     Doubles stand when they certify every root; otherwise the one exact
     route, _roots_high_precision, certifies them all (Newton per root, then
-    the squarefree split or Weierstrass sweeps).  Raises ConvergenceError
-    when that fails or when conjugates still fail to pair up.
+    the squarefree split or Weierstrass sweeps).  A root is real exactly
+    when its imaginary part is 0: LAPACK returns the real eigenvalues of the
+    real companion matrix exactly real and the others as exact conjugate
+    pairs, _polish_root keeps a real start real, and a certified disc either
+    has b = 0, so the one root in that conjugate-symmetric disc is real, or
+    lies off the axis (_separated).  The roots are repeated when the
+    squarefree split found a multiplicity above 1; doubles that certify
+    every root and discs that are _separated prove them distinct.  Leading
+    zero coefficients become real roots at infinity, repeated when there
+    are two or more.  Raises ConvergenceError when certification fails or
+    when conjugates fail to pair up.
     """
-    tol = 1e-8
     coeffs = _strip(list(f.coeffs))
     at_infinity = len(f.coeffs) - len(coeffs)
     if len(coeffs) < 2:
@@ -525,33 +532,21 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
         return UpperRootSet(upper=(), real=(math.inf,) * f.degree,
                             repeated=f.degree > 1)
     roots, ill = _double_roots(coeffs)
-    roots = _roots_high_precision(coeffs, roots) if ill else roots
-    upper: list[complex] = []
-    lower: list[complex] = []
-    real: list[float] = []
-    for z in roots:
-        band = tol * (1 + abs(z))
-        if abs(z.imag) <= band:
-            real.append(z.real)
-        elif z.imag > 0:
-            upper.append(z)
-        else:
-            lower.append(z)
-    if len(upper) != len(lower):
-        raise ConvergenceError(
-            f"could not pair conjugate roots of {f}: {len(upper)} upper vs "
-            f"{len(lower)} lower at tol={tol}"
-        )
-    repeated = at_infinity > 1
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= tol * (1 + abs(roots[i])):
-                repeated = True
-    real.extend([math.inf] * at_infinity)
+    repeated = False
+    if ill:
+        roots, repeated = _roots_high_precision(coeffs, roots)
+    upper = [z for z in roots if z.imag > 0]
+    real = [z.real for z in roots if z.imag == 0]
+    lower = len(roots) - len(upper) - len(real)
+    if len(upper) != lower:
+        raise ConvergenceError(f"could not pair conjugate roots of {f}: "
+                               f"{len(upper)} upper vs {lower} lower")
 
     from .hyper import UhpPoint  # deferred: forms is imported by hyper
 
     upper_pts = tuple(
         UhpPoint(z.real, z.imag) for z in sorted(upper, key=lambda w: (w.real, w.imag))
     )
-    return UpperRootSet(upper=upper_pts, real=tuple(sorted(real)), repeated=repeated)
+    return UpperRootSet(upper=upper_pts,
+                        real=tuple(sorted(real + [math.inf] * at_infinity)),
+                        repeated=repeated or at_infinity > 1)

@@ -11,6 +11,7 @@ one kernel, shared with dbgen's blocks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -230,9 +231,14 @@ def reduce_to_fundamental(z: UhpPoint):
             a, b = a - m * c, b - m * d
         normsq = t * t + u * u
         if normsq < 1:
-            scale = float(normsq)
-            t = -float(t) / scale
-            u = float(u) / scale
+            t, u, scale, e = float(t), float(u), float(normsq), 0
+            if scale < sys.float_info.min:
+                # t^2 + u^2 is 0 or subnormal: invert 2^-e z, then scale back
+                e = math.frexp(max(abs(t), u))[1]
+                t, u = math.ldexp(t, -e), math.ldexp(u, -e)
+                scale = t * t + u * u
+            t = math.ldexp(-t / scale, -e)
+            u = math.ldexp(u / scale, -e)
             a, b, c, d = -c, -d, a, b
         else:
             break

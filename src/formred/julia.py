@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,10 @@ def q_of_weights(roots: UpperRootSet, w: JuliaWeights) -> QuadraticForm:
 
 
 def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
-    """theta_0 of f at the given weights; positive, scale-invariant in w."""
+    """theta_0 of f at the given weights; positive, scale-invariant in w.
+    When one of its factors overflows the doubles, theta_0 comes from the
+    sum of their logs instead, and is math.inf when it is past the doubles
+    itself."""
     if f.coeffs[0] == 0:
         raise DomainError("leading coefficient is zero: shift the form first")
     Q = q_of_weights(roots, w)
@@ -93,10 +97,15 @@ def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
     if D >= 0:
         raise DomainError("degenerate weighted quadratic (disc >= 0)")
     n = f.degree
-    denom = math.prod(float(v) ** 2 for v in w.t) * math.prod(
-        float(v) ** 4 for v in w.u
-    )
-    return float(f.coeffs[0]) ** 2 * abs(D) ** (n / 2) / denom
+    try:
+        denom = math.prod(float(v) ** 2 for v in w.t) * math.prod(
+            float(v) ** 4 for v in w.u
+        )
+        return float(f.coeffs[0]) ** 2 * abs(D) ** (n / 2) / denom
+    except OverflowError:
+        log_theta = (2 * math.log(abs(f.coeffs[0])) + n / 2 * math.log(-D)
+                     - 2 * sum(map(math.log, w.t)) - 4 * sum(map(math.log, w.u)))
+        return math.exp(log_theta) if log_theta <= _LOG_MAX else math.inf
 
 
 def _root_terms(roots: UpperRootSet):
@@ -203,6 +212,12 @@ _GRAD_TOL = 1e-10
 _PHI_RTOL = 1e-12
 _HALVINGS = 60
 _MAX_STEPS = 10000
+
+# The largest log a double's theta_0 can have, and the root size past which
+# minimize_theta0 solves on roots scaled down: below it every D_k stays well
+# inside the doubles.
+_LOG_MAX = math.log(sys.float_info.max)
+_BIG_ROOT = 2.0 ** 500
 
 
 def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
@@ -314,6 +329,15 @@ def minimize_theta0(f: BinaryForm,
             f"signature ({r}, {s}) admits no positive definite minimizer"
         )
     xk, yk2, m = _root_terms(roots)
+    # Phi(2^e z; 2^e roots) = Phi(z; roots) + n e log 2, and the normalized
+    # weights do not change: roots past _BIG_ROOT, whose D_k may overflow,
+    # are solved scaled by the least 2^-e that brings them below it (so the
+    # small roots keep their range), and the zero is scaled back
+    e = 0
+    big = max(np.abs(xk).max(), math.sqrt(yk2.max()))
+    if big > _BIG_ROOT:
+        e = math.frexp(big / _BIG_ROOT)[1]
+        xk, yk2 = np.ldexp(xk, -e), np.ldexp(yk2, -2 * e)
     x, y = _julia_zero(xk, yk2, m, *_julia_start(xk, yk2))
     # the weights sqrt(p_k) there, normalized to sum m_k log p_k = 0
     log_d = np.log((x - xk) ** 2 + y * y + yk2)
@@ -325,5 +349,5 @@ def minimize_theta0(f: BinaryForm,
         quadratic=Q,
         theta=theta0(f, roots, weights),
         weights=weights,
-        zero=UhpPoint(float(x), float(y)),
+        zero=UhpPoint(math.ldexp(x, e), math.ldexp(y, e)),
     )

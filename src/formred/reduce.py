@@ -7,7 +7,9 @@ strip therefore uses m = nint(t).
 
 `minimize` finds the roots once and picks its first stage from their
 signature: hyperbolic with no real root, center of mass with a non-real
-root, Julia when every root is real.
+root, Julia when every root is real.  The signature is what root finding
+proved (`roots_upper`): a root is real when its certified value has
+imaginary part 0, with no tolerance band.
 
 A form with a real root p/q of multiplicity m >= n/2 is unstable: theta_0
 has no positive definite minimum, and its infimum lies at the cusp p/q
@@ -15,7 +17,10 @@ has no positive definite minimum, and its infimum lies at the cusp p/q
 so shift descent and the scaling scan do the work, and `reduce_julia` moves
 p/q to infinity by the matrix with first column (p, q), completed by
 extended gcd, keeping the result only when the height drops.  Only forms
-with repeated roots are tested, from the exact squarefree decomposition.
+whose roots are `repeated` are tested, from the exact squarefree
+decomposition; `roots_upper` sets that flag only when the squarefree split
+found a multiplicity above 1, or for a root at infinity of multiplicity 2
+or more, so close but distinct roots never reach the test.
 """
 
 from __future__ import annotations

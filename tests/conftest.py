@@ -12,6 +12,10 @@ from formred import BinaryForm, UhpPoint, from_upper_roots
 TRIANGLE_ROOTS = ((1, 19), (2, 19), (19, 1))
 PENTAGON_ROOTS = ((1, 5), (1, 6), (2, 6), (3, 3), (6, 1))
 TRIANGLE_COEFFS = (1, -44, 1325, -32280, 480964, -5809376, 47831060)
+# positive definite forms whose conjugate roots lie within 1e-8 of the real
+# axis, down to +-2^-511.5 i
+TINY_ROOT_FORMS = ((10 ** 16, 0, 1), (10 ** 16, 1, 1), (10 ** 20, 0, 1),
+                   (10 ** 40, 0, 0, 0, 1), (2 ** 1023, 0, 1))
 
 
 def benchmark_workloads():

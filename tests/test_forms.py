@@ -18,8 +18,8 @@ from formred import (BinaryForm, ConvergenceError, UhpPoint, UnimodularMatrix,
 from formred import forms
 from formred.dbgen import enumerate_ngons, lattice_points
 from formred.forms import _quadratic_product, _taylor_shift
-from conftest import (TRIANGLE_COEFFS, TRIANGLE_ROOTS, benchmark_workloads,
-                      random_form, random_upper_points)
+from conftest import (TINY_ROOT_FORMS, TRIANGLE_COEFFS, TRIANGLE_ROOTS,
+                      benchmark_workloads, random_form, random_upper_points)
 from oracles import (binomial_shift, double_roots_reference, poly_mul,
                      polish_root_reference, transform_reference)
 
@@ -151,16 +151,16 @@ def test_roots_upper_infinity_and_repeats():
     assert rs.repeated and rs.real == (0.0, 0.0)
 
 
-def _spy(monkeypatch, name):
-    """Replace forms.<name> by a wrapper that records each return value."""
+def _spy(monkeypatch, name, module=forms):
+    """Replace module.<name> by a wrapper that records each return value."""
     seen = []
-    real = getattr(forms, name)
+    real = getattr(module, name)
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(forms, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -183,7 +183,9 @@ def test_ill_pentagon_roots_certified_exactly(monkeypatch):
             want = sorted([complex(x, y) for x, y in roots]
                           + [complex(x, -y) for x, y in roots],
                           key=lambda z: (z.real, z.imag))
-            assert sorted(exact[-1], key=lambda z: (z.real, z.imag)) == want
+            got, repeated = exact[-1]
+            assert sorted(got, key=lambda z: (z.real, z.imag)) == want
+            assert repeated is False
             assert [(p.t, p.u) for p in rs.upper] == [
                 (float(x), float(y)) for x, y in sorted(roots)]
     assert escalated > 0 and split == [] and sweeps == []
@@ -250,6 +252,50 @@ def _mignotte(d, a):
     coeffs = [1] + [0] * d
     coeffs[d - 2:] = [-2 * a * a, 4 * a, -2]
     return BinaryForm(tuple(coeffs))
+
+
+def _mignottes():
+    return [_mignotte(d, a) for d in range(4, 12)
+            for a in (3, 10, 30, 100, 1000)]
+
+
+def test_real_and_repeated_match_sympy():
+    # a root is real exactly when sympy's exact real-root count says so,
+    # with multiplicity and roots at infinity, and the roots are repeated
+    # exactly when sympy's squarefree decomposition has a multiplicity above
+    # 1: on the mixed population, the Mignotte forms, whose close real roots
+    # are distinct, and definite forms with roots near the real axis
+    import sympy
+
+    x = sympy.Symbol("x")
+    wl = benchmark_workloads()
+    rows = [f for group in wl.mixed_population(formred).values()
+            for f in group]
+    rows += _mignottes() + [BinaryForm(c) for c in TINY_ROOT_FORMS]
+    repeated = 0
+    for f in rows:
+        at_infinity = next(i for i, c in enumerate(f.coeffs) if c)
+        parts = sympy.Poly(list(f.coeffs[at_infinity:]), x).sqf_list()[1]
+        real = at_infinity + sum(m * p.count_roots() for p, m in parts)
+        want = at_infinity > 1 or any(m > 1 for _, m in parts)
+        rs = roots_upper(f)
+        assert len(rs.real) == real and rs.repeated is want, f.coeffs
+        repeated += want
+    assert len(rows) > 2000 and repeated > 30
+
+
+def test_close_real_roots_skip_the_unstable_test(monkeypatch):
+    # the 15 Mignotte forms whose close real roots a 1e-8 band once called
+    # repeated: minimize no longer asks for the squarefree factors that the
+    # test for an unstable root reads
+    split = _spy(monkeypatch, "squarefree", formred.reduce)
+    close = [f for f in _mignottes()
+             if np.diff(sorted(roots_upper(f).real)).min() < 1e-8]
+    assert len(close) == 15
+    for f in close:
+        assert not roots_upper(f).repeated
+        formred.minimize(f)
+    assert split == []
 
 
 def test_pair_polish_matches_per_root_polish():

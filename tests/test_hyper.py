@@ -245,6 +245,19 @@ def test_reduce_to_fundamental_examples():
     assert M == UnimodularMatrix(0, 1, -1, 0)
 
 
+def test_reduce_to_fundamental_tiny_points():
+    # t^2 + u^2 underflows to 0 or a subnormal: the inversion is taken on
+    # 2^-e z and scaled back, and agrees with the exact inversion
+    z, M = reduce_to_fundamental(UhpPoint(0.0, 1e-200))
+    assert (z.t, z.u) == (0.0, 1e200) and M == UnimodularMatrix(0, 1, -1, 0)
+    for t, u in ((3e-201, 4e-201), (0.0, 2.0 ** -511.5), (-1e-160, 1e-170)):
+        t2, u2 = Fraction(t), Fraction(u)
+        norm = t2 * t2 + u2 * u2
+        z, M = reduce_to_fundamental(UhpPoint(t, u))
+        assert z.u == pytest.approx(float(u2 / norm), rel=1e-15)
+        assert abs(z.t) <= 0.5 and z.u >= 1e150
+
+
 def test_reduce_to_fundamental_properties(rng):
     for _ in range(500):
         z0 = UhpPoint(rng.uniform(-40, 40), rng.uniform(0.05, 40))

@@ -75,6 +75,24 @@ def test_theta0_quadratic_is_constant():
     assert abs(res.quadratic.c / res.quadratic.a - 2.0) < 1e-12
 
 
+def test_theta0_and_zero_past_the_doubles():
+    # theta_0 = 4 |disc| for [a, b, c]: where c_0^2 overflows it comes from
+    # logs, and it is math.inf where it is past the doubles itself; roots
+    # past 2^500 are solved scaled, and the zero is scaled back
+    for coeffs, theta, u in (((2 ** 600, 0, 1), 2.0 ** 604, 2.0 ** -300),
+                             ((1, 0, 2 ** 1010), 2.0 ** 1014, 2.0 ** 505),
+                             ((2 ** 512, 0, 2 ** 512), math.inf, 1.0),
+                             ((1, 0, 2 ** 1023), math.inf, 2.0 ** 511.5)):
+        res = minimize_theta0(BinaryForm(coeffs))
+        assert res.theta == pytest.approx(theta, rel=1e-12), coeffs
+        assert res.zero.t == 0 and res.zero.u == pytest.approx(u, rel=1e-12)
+    # a leading coefficient 2^600 leaves the roots and the zero as they are
+    cubic = (1, -6, 11, -6)
+    res = minimize_theta0(BinaryForm(tuple(c << 600 for c in cubic)))
+    assert res.theta == math.inf
+    assert res.zero == minimize_theta0(BinaryForm(cubic)).zero
+
+
 def test_minimize_theta0_triangle_matches_grid_oracle(triangle):
     res = minimize_theta0(triangle)
     assert abs(float(res.zero.t) - TRI_JULIA_ZERO[0]) < 1e-6

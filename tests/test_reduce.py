@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import formred.julia
 import formred.reduce
-from formred import (BinaryForm, DomainError, UhpPoint, UnimodularMatrix,
-                     enumerate_ngons, from_upper_roots, height,
+from formred import (BinaryForm, ConvergenceError, DomainError, UhpPoint,
+                     UnimodularMatrix, enumerate_ngons, from_upper_roots, height,
                      lattice_points, minimize, primitive,
                      reduce_com, reduce_hyperbolic, reduce_julia,
                      roots_upper, scale_search, shift, shift_descent,
                      shift_direction, transform)
-from conftest import TRIANGLE_COEFFS, random_upper_points
+from conftest import TINY_ROOT_FORMS, TRIANGLE_COEFFS, random_upper_points
 from oracles import (feasible_cut, minimize_cascade, poly_mul,
                      scale_exhaustive, scale_lemma, scaled_primitive,
                      shift_descent_reference, wgcd)
@@ -420,17 +420,27 @@ def test_pipeline_monotonicity_random(rng):
                                        reduce_com(f).output_height)
 
 
+_KINDS = ("small", "zero-end", "20-digit")
+
+
 @st.composite
-def _forms(draw):
+def _forms(draw, kinds=_KINDS):
     """A random form of degree 2 to 7: small coefficients, small with one
-    end coefficient zero, or coefficients of up to 20 digits."""
-    kind = draw(st.sampled_from(["small", "zero-end", "20-digit"]))
+    end coefficient zero, coefficients of up to 20 digits or, as the kind
+    "past-2^500", 2^j f(x, 2^k y) for a form f with coefficients of at most
+    7 and j + n k <= 1020: a leading coefficient past 2^512, or roots
+    past 2^500, overflow the doubles in the Julia solve."""
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 7))
-    span = 10**20 if kind == "20-digit" else 40
+    span = {"20-digit": 10**20, "past-2^500": 7}.get(kind, 40)
     coeffs = draw(st.lists(st.integers(-span, span), min_size=n + 1,
                            max_size=n + 1))
     if kind == "zero-end":
         coeffs[draw(st.sampled_from([0, -1]))] = 0
+    if kind == "past-2^500":
+        k = draw(st.integers(0, 1020 // n))
+        j = draw(st.integers(max(0, 500 - n * k), 1020 - n * k))
+        coeffs = [c << (j + k * i) for i, c in enumerate(coeffs)]
     assume(any(coeffs))
     return BinaryForm(tuple(coeffs))
 
@@ -449,7 +459,7 @@ def test_minimize_report_or_domain_error(f):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_forms())
+@given(_forms(_KINDS + ("past-2^500",)))
 def test_reduce_julia_report_or_domain_error(f):
     # every form gets a Julia report that its certificate checks, or a
     # DomainError
@@ -528,6 +538,54 @@ def test_overflowing_double_roots_end_in_domain_errors():
         with pytest.raises(DomainError,
                            match=f"overflows the doubles: no {what}"):
             fn(g)
+
+
+@pytest.mark.parametrize("coeffs", TINY_ROOT_FORMS)
+def test_tiny_definite_roots_reduce_hyperbolically(coeffs):
+    # conjugate roots within 1e-8 of the real axis are not real: both the
+    # hyperbolic stage and the whole pipeline give checked reports
+    f = BinaryForm(coeffs)
+    for r in (reduce_hyperbolic(f), minimize(f)):
+        assert r.zero_used is not None
+        assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
+        assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
+@pytest.mark.parametrize("fn,coeffs", [
+    (reduce_julia, (2 ** 512, 0, 2 ** 512)),  # c_0^2 overflows in theta_0
+    (reduce_julia, (1, 0, 0, 0, 2 ** 1020)),  # and |D|^(n/2)
+    (minimize, poly_mul(poly_mul([2 ** 600, -2 ** 600], [1, -2]), [1, -3])),
+    (reduce_julia, (1, 0, 2 ** 1023)),  # the D_k of roots +-2^511.5 i
+    # roots 5 * 2^498 and +-2^-234: scaled no further than below 2^500,
+    # the small roots keep their range
+    (reduce_julia, (1, -5 * 2 ** 498, 0, 2 ** 32)),
+], ids=["big-c0", "big-disc", "big-real-cubic", "big-roots", "spread-roots"])
+def test_overflowing_julia_forms_get_reports(fn, coeffs):
+    f = BinaryForm(tuple(coeffs))
+    r = fn(f)
+    assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+        r.output.coeffs
+    assert r.output_height == height(r.output) <= r.input_height == height(f)
+
+
+@pytest.mark.xfail(strict=True, raises=(OverflowError, ConvergenceError),
+                   reason="root certification cannot yet span roots spread "
+                          "this far apart (CHANGES.md, FOUND)")
+@pytest.mark.parametrize("coeffs", [
+    (1, 2 ** 52, 0, 1),  # LAPACK returns 0 twice for the roots +-2^-26 i
+    (1, 2 ** 154, 0, 1),  # a disc radius overflows the doubles
+    (3, 2 ** 514, 1),  # a sweep start overflows the doubles
+], ids=["coincident-starts", "radius", "sweep-start"])
+def test_widely_spread_roots_get_reports(coeffs):
+    f = BinaryForm(coeffs)
+    for fn in (minimize, reduce_julia):
+        try:
+            r = fn(f)
+        except DomainError:
+            continue
+        assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
 
 
 def test_minimize_shift_composition_equivariance(rng, triangle):
