@@ -11,19 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .dbgen import (DEFAULT_MAXDIST_METRIC, DEFAULT_MAXDIST_SCAN_U,
-                    DEFAULT_MAXDIST_SCOPE, MAXDIST_METRICS, MAXDIST_SCAN_US,
-                    MAXDIST_SCOPES, REGIONS, TIE_NAMES, LatticeConfig,
-                    compare_stats, generate_records, lattice_points,
-                    max_distance, stats_json_dict, write_db)
+from .dbgen import (DEFAULT_COMPARE_TIE, DEFAULT_MAXDIST_METRIC,
+                    DEFAULT_MAXDIST_SCAN_U, DEFAULT_MAXDIST_SCOPE,
+                    MAXDIST_METRICS, MAXDIST_SCAN_US, MAXDIST_SCOPES, REGIONS,
+                    TIE_NAMES, LatticeConfig, compare_stats, generate_records,
+                    lattice_points, max_distance, stats_json_dict, write_db)
 from .errors import ConvergenceError, DomainError
 from .forms import BinaryForm
 from .quad import QuadraticForm, enumerate_reduced, q_discriminant, q_reduce
 from .reduce import minimize, reduce_com, reduce_hyperbolic, reduce_julia
 
-TIE_CHOICES = tuple(TIE_NAMES)
+# reduce --method: the zero map of each choice, called with the form and --tie
+_REDUCERS = {
+    "julia": lambda f, tie: reduce_julia(f),
+    "hyperbolic": lambda f, tie: reduce_hyperbolic(f),
+    "com": reduce_com,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,10 +63,7 @@ def _emit(obj: dict, as_json: bool):
         print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
         return
     for key, val in obj.items():
-        if isinstance(val, float):
-            print(f"{key}: {val:.6f}")
-        else:
-            print(f"{key}: {val}")
+        print(f"{key}: {val:.6f}" if isinstance(val, float) else f"{key}: {val}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,73 +71,66 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Height reduction of integer binary forms.")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output on stdout")
-    # accepted after the subcommand too; SUPPRESS keeps a pre-subcommand
-    # --json from being clobbered by the subparser default
+    # one parent parser per option family.  --json is accepted after the
+    # subcommand too; SUPPRESS keeps a pre-subcommand --json from being
+    # clobbered by the subparser default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="machine-readable output on stdout")
+    form = argparse.ArgumentParser(add_help=False, parents=[common])
+    form.add_argument("--coeffs", required=True,
+                      help="comma-separated integers, descending x-power")
+    form.add_argument("--tie", default="away", choices=TIE_NAMES,
+                      help="half-integer rounding for the com shift")
+    db = argparse.ArgumentParser(add_help=False, parents=[common])
+    db.add_argument("--k", type=int, required=True, help="n-gon size")
+    db.add_argument("--r2", type=int, required=True, help="outer radius")
+    db.add_argument("--region", default=REGIONS[0], choices=REGIONS,
+                    help="lattice region; default keeps y>=1, 1<|z|<=r2")
+    db.add_argument("--workers", type=_workers, default=1,
+                    help="worker processes, at most the CPU count")
     sub = p.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[common],
+    gen = sub.add_parser("gen", parents=[db],
                          help="generate an n-gon database",
                          description="Stream the database of k-gon forms to a "
                                      "JSONL file (or just count with --no-store).")
-    gen.add_argument("--k", type=int, required=True, help="n-gon size")
-    gen.add_argument("--r2", type=int, required=True, help="outer radius")
-    gen.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS,
-                     help="lattice region; default keeps y>=1, 1<|z|<=r2")
     gen.add_argument("--out", help="output JSONL path")
     gen.add_argument("--no-store", action="store_true",
                      help="do not write records, report the count only")
-    gen.add_argument("--workers", type=_workers, default=1,
-                     help="worker processes, at most the CPU count")
 
-    red = sub.add_parser("reduce", parents=[common],
+    red = sub.add_parser("reduce", parents=[form],
                          help="reduce one form by a single method",
                          description="Reduce a form; --method picks the zero "
                                      "map (julia = theta_0 minimizer).")
-    red.add_argument("--coeffs", required=True,
-                     help="comma-separated integers, descending x-power")
-    red.add_argument("--method", default="hyperbolic",
-                     choices=("julia", "hyperbolic", "com"))
-    red.add_argument("--tie", default="away", choices=TIE_CHOICES,
-                     help="half-integer rounding for the com shift")
+    red.add_argument("--method", default="hyperbolic", choices=_REDUCERS)
 
-    mini = sub.add_parser("minimize", parents=[common],
+    mini = sub.add_parser("minimize", parents=[form],
                           help="full reduction pipeline",
                           description="Centroid reduction, then shift descent, "
                                       "then the scaling scan.")
-    mini.add_argument("--coeffs", required=True,
-                      help="comma-separated integers, descending x-power")
     mini.add_argument("--patience", type=int, default=3,
                       help="non-improving shifts tolerated before stopping")
     mini.add_argument("--scale-bound", type=int, default=64,
                       help="numerator/denominator bound of the scaling scan")
-    mini.add_argument("--tie", default="away", choices=TIE_CHOICES)
 
-    cmp_ = sub.add_parser("compare", parents=[common],
+    cmp_ = sub.add_parser("compare", parents=[db],
                           help="hyperbolic vs center-of-mass stats",
                           description="Shift every database form both ways and "
                                       "bucket by the smaller resulting height.")
-    cmp_.add_argument("--k", type=int, required=True, help="n-gon size")
-    cmp_.add_argument("--r2", type=int, required=True, help="outer radius")
-    cmp_.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS)
-    cmp_.add_argument("--tie", default="up-2dp", choices=TIE_CHOICES,
+    cmp_.add_argument("--tie", default=DEFAULT_COMPARE_TIE,
+                      choices=TIE_NAMES,
                       help="shift rounding convention; up-2dp (2-decimal "
                            "pre-round, then half-up) reproduces the "
                            "reference buckets")
     cmp_.add_argument("--out", help="write the stats JSON here as well")
-    cmp_.add_argument("--workers", type=_workers, default=1,
-                      help="worker processes, at most the CPU count")
 
-    mx = sub.add_parser("maxdist", parents=[common],
+    mx = sub.add_parser("maxdist", parents=[db],
                         help="record with farthest-apart centers",
                         description="Scan every n-gon for the maximal distance "
                                     "between center of mass and hyperbolic "
                                     "centroid.")
-    mx.add_argument("--k", type=int, required=True, help="n-gon size")
-    mx.add_argument("--r2", type=int, required=True, help="outer radius")
     mx.add_argument("--metric", default=DEFAULT_MAXDIST_METRIC,
                     choices=MAXDIST_METRICS)
     mx.add_argument("--scope", default=DEFAULT_MAXDIST_SCOPE,
@@ -146,9 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="centroid height used in the distance: mean-y is "
                          "the calibrated default, definition is "
                          "sqrt(|C|^2-t^2)")
-    mx.add_argument("--region", default="halfdisc-exclude-i", choices=REGIONS)
-    mx.add_argument("--workers", type=_workers, default=1,
-                    help="worker processes, at most the CPU count")
 
     qd = sub.add_parser("quad", parents=[common],
                         help="binary quadratic utilities",
@@ -165,41 +158,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config(args) -> LatticeConfig:
+    return LatticeConfig(r2=args.r2, kgon=args.k, region=args.region)
+
+
 def _cmd_gen(args) -> dict:
-    config = LatticeConfig(r2=args.r2, kgon=args.k, region=args.region)
+    config = _config(args)
+    head = {"k": args.k, "r2": args.r2, "region": args.region}
     if args.no_store:
-        points = lattice_points(config.r2, config.region)
-        from math import comb
-        return {"k": args.k, "r2": args.r2, "region": args.region,
-                "points": len(points), "count": comb(len(points), args.k),
+        n = len(lattice_points(config.r2, config.region))
+        return {**head, "points": n, "count": math.comb(n, args.k),
                 "stored": False}
     if not args.out:
         raise DomainError("gen needs --out unless --no-store is given")
     count = write_db(generate_records(config, workers=args.workers), args.out)
-    return {"k": args.k, "r2": args.r2, "region": args.region,
-            "count": count, "out": args.out, "stored": True}
+    return {**head, "count": count, "out": args.out, "stored": True}
 
 
 def _cmd_reduce(args) -> dict:
     f = _parse_coeffs(args.coeffs)
-    if args.method == "hyperbolic":
-        report = reduce_hyperbolic(f)
-    elif args.method == "com":
-        report = reduce_com(f, tie=args.tie)
-    else:
-        report = reduce_julia(f)
-    return report.to_json_dict()
+    return _REDUCERS[args.method](f, args.tie).to_json_dict()
 
 
 def _cmd_minimize(args) -> dict:
-    f = _parse_coeffs(args.coeffs)
-    report = minimize(f, patience=args.patience, bound=args.scale_bound,
-                      tie=args.tie)
-    return report.to_json_dict()
+    return minimize(_parse_coeffs(args.coeffs), patience=args.patience,
+                    bound=args.scale_bound, tie=args.tie).to_json_dict()
 
 
 def _cmd_compare(args) -> dict:
-    config = LatticeConfig(r2=args.r2, kgon=args.k, region=args.region)
+    config = _config(args)
     stats = compare_stats(config, tie=args.tie, workers=args.workers)
     obj = stats_json_dict(config, stats, tie=args.tie)
     if args.out:
@@ -210,8 +197,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_maxdist(args) -> dict:
-    config = LatticeConfig(r2=args.r2, kgon=args.k, region=args.region)
-    rec = max_distance(config, metric=args.metric, scope=args.scope,
+    rec = max_distance(_config(args), metric=args.metric, scope=args.scope,
                        scan_u=args.scan_u, workers=args.workers)
     return {
         "k": args.k, "r2": args.r2, "metric": args.metric, "scope": args.scope,

@@ -112,7 +112,7 @@ class LatticeConfig:
 
     r2: int
     kgon: int
-    region: str = "halfdisc-exclude-i"
+    region: str = REGIONS[0]
 
     def __post_init__(self):
         if self.r2 < 2:
@@ -147,7 +147,7 @@ class CompareStats:
             raise ValueError("comparison buckets do not sum to the total")
 
 
-def lattice_points(r2: int, region: str = "halfdisc-exclude-i"):
+def lattice_points(r2: int, region: str = REGIONS[0]):
     """Gaussian integers x + iy with y >= 1 and 1 < x^2 + y^2 <= r2^2,
     sorted lexicographically.  Region 'positive-re' additionally needs x >= 1."""
     if region not in REGIONS:
@@ -438,8 +438,9 @@ def _maxdist_range(task):
             yield float(key[i]), (*prefix, *tails[a + i].tolist())
 
 
-def max_distance(config: LatticeConfig, metric: str | None = None,
-                 scope: str | None = None, scan_u: str | None = None,
+def max_distance(config: LatticeConfig, metric: str = DEFAULT_MAXDIST_METRIC,
+                 scope: str = DEFAULT_MAXDIST_SCOPE,
+                 scan_u: str = DEFAULT_MAXDIST_SCAN_U,
                  workers: int = 1) -> NGonRecord:
     """The record whose center of mass and hyperbolic centroid are farthest
     apart; ties go to the lexicographically smallest root set.
@@ -448,9 +449,6 @@ def max_distance(config: LatticeConfig, metric: str | None = None,
     (default 'positive-re', the restriction under which the reference
     witnesses are the maxima); the database region itself is unchanged.
     `scan_u` picks the centroid height used in the distance (see _centers)."""
-    metric = metric or DEFAULT_MAXDIST_METRIC
-    scope = scope or DEFAULT_MAXDIST_SCOPE
-    scan_u = scan_u or DEFAULT_MAXDIST_SCAN_U
     for name, value, allowed in (("metric", metric, MAXDIST_METRICS),
                                  ("scope", scope, MAXDIST_SCOPES),
                                  ("scan_u", scan_u, MAXDIST_SCAN_US)):

@@ -16,6 +16,18 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 
+def _integers(raw: tuple, what: str) -> tuple:
+    """The entries of `raw` as Python ints; ValueError '<what> ... are not
+    all integers' unless each already equals an integer."""
+    try:
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} {raw!r} are not all integers") from exc
+    if ints != raw:
+        raise ValueError(f"{what} {raw!r} are not all integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class BinaryForm:
     """Binary form with integer coefficients, descending x-power."""
@@ -23,13 +35,7 @@ class BinaryForm:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        raw = tuple(self.coeffs)
-        try:
-            coeffs = tuple(map(int, raw))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"coefficients {raw!r} are not all integers") from exc
-        if coeffs != raw:
-            raise ValueError(f"coefficients {raw!r} are not all integers")
+        coeffs = _integers(tuple(self.coeffs), "coefficients")
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("a binary form has degree >= 1")
@@ -61,13 +67,7 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
-        raw = (self.a, self.b, self.c, self.d)
-        try:
-            entries = tuple(map(int, raw))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"matrix entries {raw!r} are not all integers") from exc
-        if entries != raw:
-            raise ValueError(f"matrix entries {raw!r} are not all integers")
+        entries = _integers((self.a, self.b, self.c, self.d), "matrix entries")
         for name, v in zip("abcd", entries):
             object.__setattr__(self, name, v)
         if self.a * self.d - self.b * self.c != 1:
@@ -438,6 +438,16 @@ def _sweep(coeffs: Sequence[int], w: list, e: int) -> bool:
     return w != old
 
 
+def _on_grid(x: float, e: int) -> int:
+    """round(x 2^e), e >= 0; exact from x's integer ratio where x 2^e is past
+    the doubles, since a value that large is an integer."""
+    try:
+        return round(math.ldexp(x, e))
+    except OverflowError:
+        p, q = x.as_integer_ratio()
+        return (p << e) // q
+
+
 def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     """Every root, certified from the double roots `start` by exact steps on
     Gaussian integers (_gauss_horner).  Pass 1: for each start, at most 8
@@ -467,14 +477,13 @@ def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
         for e in [None, *range(top, cap + 1, 64)]:
             if e is not None:  # later passes: at most 32 sweeps, until none moves
                 w = [(a << 64, b << 64) for a, b in w] if e > top else [
-                    (round(math.ldexp(z.real, e)), round(math.ldexp(z.imag, e)))
-                    for z in start]
+                    (_on_grid(z.real, e), _on_grid(z.imag, e)) for z in start]
                 all(_sweep(coeffs, w, e) for _ in range(32))
             discs = []  # (a, b, grid exponent, radius in grid units)
             for i, (z, x) in enumerate(zip(start, exps)):
                 if e is None:
                     g = max(0, 84 - x)
-                    a, b = round(math.ldexp(z.real, g)), round(math.ldexp(z.imag, g))
+                    a, b = _on_grid(z.real, g), _on_grid(z.imag, g)
                     for step in range(9):
                         pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
                         dd = dr * dr + di * di

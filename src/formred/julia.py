@@ -207,11 +207,15 @@ def _absmax(g):
 # step at most _HALVINGS times and give up after _MAX_STEPS steps.  A trial
 # point is taken when it lowers Phi or, since near the minimum Phi ties at
 # rounding level, when it raises Phi by at most _PHI_RTOL (1 + |Phi|) and
-# halves the gradient.
+# halves the gradient.  A solve on the mixed population or the r2=4
+# pentagons takes at most 15 steps, but one that zigzags down from a far
+# start takes thousands: 1 908 for the roots 5 * 2^498 and +-2^-234,
+# where the diagonal retry takes 279.  The budget hands such a solve to the
+# retry early and leaves the retry room to cross the doubles' range.
 _GRAD_TOL = 1e-10
 _PHI_RTOL = 1e-12
 _HALVINGS = 60
-_MAX_STEPS = 10000
+_MAX_STEPS = 1000
 
 # The largest log a double's theta_0 can have, and the root size past which
 # minimize_theta0 solves on roots scaled down: below it every D_k stays well

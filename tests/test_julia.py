@@ -202,6 +202,22 @@ def test_flat_direction_zero_converges():
     assert primitive(transform(f, r.matrix)) == r.output
 
 
+def test_flat_direction_zero_hands_over_early(monkeypatch):
+    # the zigzag of test_flat_direction_zero_converges spends the first
+    # pass's whole step budget, two Phi evaluations a step, before the
+    # diagonal retry solves it in 19 steps; a budget of 10 000 steps took
+    # 20 008 evaluations
+    f = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
+    calls = []
+    monkeypatch.setattr(formred.julia, "_phi",
+                        lambda *a: calls.append(1) or _phi(*a))
+    r = reduce_julia(f)
+    assert len(calls) < 5000
+    assert r.output.coeffs == (659892, 3299460, -99999999999994060972,
+                               -99999999999995380756, 4812191)
+    assert r.matrix == UnimodularMatrix(1, 1, 0, 1)
+
+
 @pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])
 def test_phi_numbers_match_columns(rng, r, s):
     # one form's entries as floats against a block's columns at its row:
