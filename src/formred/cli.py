@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     form.add_argument("--coeffs", required=True,
                       help="comma-separated integers, descending x-power")
     form.add_argument("--tie", default="away", choices=TIE_NAMES,
-                      help="half-integer rounding for the com shift")
+                      help="rounding of the com shift of reduce --method "
+                           "com and minimize; julia and hyperbolic ignore it")
     db = argparse.ArgumentParser(add_help=False, parents=[common])
     db.add_argument("--k", type=int, required=True, help="n-gon size")
     db.add_argument("--r2", type=int, required=True, help="outer radius")

@@ -169,9 +169,8 @@ def enumerate_ngons(points, k: int, first_range=None):
 
     `first_range=(lo, hi)` restricts the index of the first element; the
     concatenation of disjoint ranges reproduces the full sequence, which is
-    what the parallel passes rely on."""
-    if k > len(points):
-        raise ValueError("k exceeds the number of points")
+    what the parallel passes rely on.  None when k exceeds the point
+    count."""
     pts = tuple(points)
     if first_range is None:
         yield from itertools.combinations(pts, k)
@@ -203,8 +202,6 @@ def generate_records(config: LatticeConfig, workers: int = 1):
     its roots, value and type."""
     points = lattice_points(config.r2, config.region)
     r2, k = config.r2, config.kgon
-    if k > len(points):
-        raise ValueError("k-gon larger than the point set")
     # int64 where the bounds of _records_range hold
     dtype = (np.int64 if _int64_safe(r2, k) and k * k * r2 ** (2 * k) < 2 ** 53
              else object)
@@ -215,7 +212,8 @@ def _records_range(task):
     """Per index block, its NGonRecords: coefficients from `_expand_forms`,
     com = (sum x / k, sum y / k) and, from the `_point_sums` of the exact
     (1/y) weights w_i (s = sum w_i, T = sum w_i x_i, S2 = sum w_i |z_i|^2),
-    hyp = (T / s, sqrt((S2 s - T^2) / s^2)) as in `hyperbolic_centroid`.
+    hyp = (T / s, sqrt((S2 s - T^2) / s^2)): the exact u^2 of
+    `hyperbolic_centroid`, as S2 s - T^2 = s sum w_i |z_i - T / s|^2 > 0.
 
     Each center is one division of exact integers, hence correctly rounded,
     as float(Fraction) is: Python int / int on object blocks, float64
@@ -227,10 +225,8 @@ def _records_range(task):
     xs, ys = np.array(points, dtype=dtype).T
     for idx in _index_chunks(len(points), k, lo, hi):
         sx, sy, _, s, T, S2 = _point_sums(xs, ys, idx)
-        usq = S2 * s - T * T
-        assert (usq > 0).all(), \
-            "centroid norm defect is positive for interior points"
-        hyp_u = np.sqrt(np.asarray(usq / (s * s), dtype=np.float64))
+        usq = np.asarray((S2 * s - T * T) / (s * s), dtype=np.float64)
+        hyp_u = np.sqrt(usq)
         coeffs = np.column_stack(_expand_forms(xs[idx], ys[idx])[1:]).tolist()
         yield from map(
             NGonRecord,
@@ -246,8 +242,8 @@ def _range_tasks(points, k: int, workers: int, *args):
     2 * workers ranges of about equal row counts (comb(n - 1 - i, k - 1)
     subsets start at index i): few, since each task builds its own tail
     table (see `_prefix_tails`), but enough that no worker waits long on
-    another.  When k exceeds the point count there is one empty range, so
-    each engine still meets its own k > len(points) behaviour."""
+    another.  When k exceeds the point count there is one empty range: the
+    empty database, on which every engine reports."""
     n = len(points)
     last = max(n - k + 1, 0)
     if workers <= 1 or not last:
@@ -448,18 +444,16 @@ def max_distance(config: LatticeConfig, metric: str = DEFAULT_MAXDIST_METRIC,
     `scope` restricts the scan to n-gons with all roots in that region
     (default 'positive-re', the restriction under which the reference
     witnesses are the maxima); the database region itself is unchanged.
-    `scan_u` picks the centroid height used in the distance (see _centers)."""
+    `scan_u` picks the centroid height used in the distance (see _centers).
+    An empty scan, k above the point count, raises ValueError."""
     for name, value, allowed in (("metric", metric, MAXDIST_METRICS),
                                  ("scope", scope, MAXDIST_SCOPES),
                                  ("scan_u", scan_u, MAXDIST_SCAN_US)):
         if value not in allowed:
             raise ValueError(f"unknown {name} {value!r}")
-    points = lattice_points(config.r2, config.region)
-    if scope == "positive-re":
-        points = [p for p in points if p[0] >= 1]
+    points = lattice_points(config.r2, "positive-re" if scope == "positive-re"
+                            else config.region)
     k = config.kgon
-    if k > len(points):
-        raise ValueError("k-gon larger than the point set")
     best_key, best_roots = -math.inf, None
     for key, combo in _fan_out(_maxdist_range, points, k, workers, metric,
                                scan_u):
@@ -661,8 +655,6 @@ def julia_vs_com_report(config: LatticeConfig) -> dict:
     search stalls is solved again by `minimize_theta0`."""
     points = lattice_points(config.r2, config.region)
     k = config.kgon
-    if k > len(points):
-        raise ValueError("k-gon larger than the point set")
     xs, ys = np.array(points, dtype=np.int64).T
     m = np.full(k, 2.0)  # every root is a pair
     total = differ = 0

@@ -2,10 +2,10 @@
 
 Points are t + iu with u > 0.  The hyperbolic centroid of a root set is
 returned as such a point, computed from its closed form: psi, the
-(1/y)-weighted mean, of t and of |z|^2.  psi is exact (rational) whenever
-its inputs are, so lattice-point databases get exact t-coordinates and only
-the final square root is a float.  Its exact weights prod_{k!=i} y_k have
-one kernel, shared with dbgen's blocks.
+(1/y)-weighted mean, of x and of |z - t|^2.  psi is exact (rational)
+whenever its inputs are, so lattice-point databases get exact t-coordinates
+and only the final square root is a float.  Its exact weights
+prod_{k!=i} y_k have one kernel, shared with dbgen's blocks.
 """
 
 from __future__ import annotations
@@ -167,18 +167,21 @@ def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
 def hyperbolic_centroid(points: Sequence[UhpPoint]) -> UhpPoint:
     """The unique minimizer of sum_j ((t-x_j)^2 + (u-y_j)^2) / (u*y_j).
 
-    Closed form: t = psi(x, y), |C|^2 = psi(|z|^2, y), u^2 = |C|^2 - t^2.
-    Raises DomainError when a float |z|^2 overflows the doubles, as for the
-    roots +-1.3e154 i of x^2 + (2^1024 - 2^970 - 1) y^2."""
+    Closed form: t = psi(x, y) and u^2 = psi(|z - t|^2, y), the mean squared
+    distance to t, as in `julia._julia_start`.  Each term is at least
+    y_k^2 > 0, so u^2 does not cancel for roots far from 0, as
+    psi(|z|^2, y) - t^2 does; both are the same rational for exact points.
+    Raises DomainError when a float |z_k - t|^2 = (x_k - t)^2 + y_k^2
+    overflows the doubles, which needs y_k^2 or (x_k - t)^2 near or past
+    them, as for the roots +-1.3e154 i of x^2 + (2^1024 - 2^970 - 1) y^2."""
     if not points:
         raise ValueError("centroid of no points")
     xs = [p.t for p in points]
     ys = [p.u for p in points]
     t = psi(xs, ys)
-    usq = psi([x * x + y * y for x, y in zip(xs, ys)], ys) - t * t
+    usq = psi([(x - t) * (x - t) + y * y for x, y in zip(xs, ys)], ys)
     if usq - usq:  # nan for an infinite or nan float, else 0
-        raise DomainError("|z|^2 of a root overflows the doubles: no centroid")
-    assert usq > 0, "centroid norm defect is positive for interior points"
+        raise DomainError("|z_k - t|^2 overflows the doubles: no centroid")
     return UhpPoint(t, math.sqrt(float(usq)))
 
 
@@ -187,8 +190,9 @@ def centroid_from_factors(a: Sequence, b: Sequence) -> UhpPoint:
 
     Each factor must be positive definite (4*b_i > a_i^2); its root pair is
     (-a_i/2, d_i/2) with d_i = sqrt(4*b_i - a_i^2), and the centroid is
-    hyperbolic_centroid of those points (u^2 = |C|^2 - t^2).  The tests check
-    it against the explicit u^2 double-sum formula in the d_i and a_i."""
+    hyperbolic_centroid of those points (u^2 = psi(|z - t|^2, y)).  The
+    tests check it against the explicit u^2 double-sum formula in the d_i
+    and a_i."""
     if len(a) != len(b):
         raise ValueError("factor vectors must have the same length")
     if not a:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import formred.cli
+from formred import ConvergenceError
 from formred.cli import main
 
 TRIANGLE = "1,-44,1325,-32280,480964,-5809376,47831060"
@@ -87,6 +89,18 @@ def test_gen_and_no_store(capsys, tmp_path):
     assert obj["points"] == 607 and obj["count"] == 37_090_735
 
 
+def test_gen_empty_database(capsys, tmp_path):
+    # k above the point count: the empty database, written as such
+    db = tmp_path / "out.jsonl"
+    code, out, _ = run(capsys, "--json", "gen", "--k", "4", "--r2", "2",
+                       "--out", str(db))
+    assert code == 0
+    assert json.loads(out)["count"] == 0 and db.read_text() == ""
+    code, out, _ = run(capsys, "--json", "gen", "--k", "4", "--r2", "2",
+                       "--no-store")
+    assert code == 0 and json.loads(out)["count"] == 0
+
+
 def test_byte_identical_output_across_runs_and_workers(capsys):
     outs = set()
     for workers in ("1", "3", "1"):
@@ -97,7 +111,7 @@ def test_byte_identical_output_across_runs_and_workers(capsys):
     assert len(outs) == 1
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     # usage error: unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "--bogus"])
@@ -117,6 +131,17 @@ def test_exit_codes(capsys):
     # bad coefficients are a domain error as well
     code, _, _ = run(capsys, "reduce", "--coeffs", "0,0", "--method", "com")
     assert code == 3
+    # a ValueError of the library is a usage error
+    code, _, err = run(capsys, "compare", "--k", "3", "--r2", "1")
+    assert code == 1 and "r2 must be at least 2" in err
+
+    # numeric non-convergence
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("stub")
+
+    monkeypatch.setattr(formred.cli, "minimize", no_convergence)
+    code, _, err = run(capsys, "minimize", "--coeffs", "1,0,1")
+    assert code == 2 and "did not converge: stub" in err
 
 
 def test_help_texts():

@@ -775,16 +775,19 @@ def test_config_validation():
 
 
 def test_kgon_larger_than_point_set():
-    cfg = LatticeConfig(r2=2, kgon=4)  # 3 lattice points
-    assert compare_stats(cfg) == CompareStats(0, 0, 0, 0)
-    assert compare_stats(cfg, workers=2) == CompareStats(0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        max_distance(cfg, scope="all")
+    # 3 lattice points (1 of them with Re >= 1): the empty database, on which
+    # every engine reports, and max_distance as its empty scan
+    cfg = LatticeConfig(r2=2, kgon=4)
+    assert list(enumerate_ngons(lattice_points(2), 4)) == []
+    assert list(enumerate_ngons(lattice_points(2), 4, first_range=(0, 3))) == []
     for workers in (1, 2):
-        with pytest.raises(ValueError):
-            list(generate_records(cfg, workers=workers))
-    with pytest.raises(ValueError):
-        julia_vs_com_report(cfg)
+        assert compare_stats(cfg, workers=workers) == CompareStats(0, 0, 0, 0)
+        assert list(generate_records(cfg, workers=workers)) == []
+        for scope in dbgen.MAXDIST_SCOPES:
+            with pytest.raises(ValueError, match="empty scan"):
+                max_distance(cfg, scope=scope, workers=workers)
+    rep = julia_vs_com_report(cfg)
+    assert (rep["total"], rep["differ"], rep["fraction"]) == (0, 0, 0.0)
 
 
 def test_julia_vs_com_report_deterministic():

@@ -380,6 +380,17 @@ def test_overflowing_polish_hands_the_start_to_the_exact_route():
     assert rs.real == () and [(p.t, p.u) for p in rs.upper] == [(0.0, 2.0 ** 512)]
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="LAPACK starts both roots on the real axis, and "
+                          "neither Newton pass 1 nor the Weierstrass sweeps "
+                          "leave it (CHANGES.md, FOUND)")
+def test_definite_quadratic_far_from_zero_gets_roots():
+    # x^2 - 2X xy + (X^2 + 64) y^2 with X = -884428080: the roots X +- 8i
+    rs = roots_upper(BinaryForm((1, 1768856160, 782213028692486464)))
+    assert rs.real == ()
+    assert [(p.t, p.u) for p in rs.upper] == [(-884428080.0, 8.0)]
+
+
 def _moebius_roots(M):
     """The upper roots of transform(triangle, M), (d z - b) / (a - c z) over
     the triangle's roots z = x + iy (or their conjugates), correctly rounded."""

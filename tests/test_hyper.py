@@ -121,7 +121,7 @@ def test_centroid_result_invariants(rng):
 
 
 def test_centroid_is_psi_closed_form(rng):
-    # t = psi(x, y), u = sqrt(psi(|z|^2, y) - t^2), bit for bit on both the
+    # t = psi(x, y), u = sqrt(psi(|z - t|^2, y)), bit for bit on both the
     # exact and the float route of psi
     for _ in range(200):
         roots = random_upper_points(rng, int(rng.integers(1, 7)))
@@ -133,10 +133,25 @@ def test_centroid_is_psi_closed_form(rng):
             xs = [x for x, _ in pts]
             ys = [y for _, y in pts]
             t = psi(xs, ys)
-            u = math.sqrt(float(psi([x * x + y * y for x, y in pts], ys) - t * t))
+            u = math.sqrt(float(psi([(x - t) * (x - t) + y * y
+                                     for x, y in pts], ys)))
             got = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
             assert got == UhpPoint(t, u)
             assert type(got.t) is type(t) and type(got.u) is float
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(center=st.integers(-2 ** 30, 2 ** 30),
+       roots=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)),
+                      min_size=1, max_size=6, unique=True))
+def test_float_centroid_matches_exact_far_from_zero(center, roots):
+    # a cluster of roots far from 0: the float centroid keeps the exact one
+    # to 1e-12 relative, where psi(|z|^2, y) - t^2 cancelled to nothing
+    exact = hyperbolic_centroid([UhpPoint(center + x, y) for x, y in roots])
+    got = hyperbolic_centroid([UhpPoint(float(center + x), float(y))
+                               for x, y in roots])
+    assert got.t == pytest.approx(float(exact.t), rel=1e-12, abs=1e-12)
+    assert got.u == pytest.approx(exact.u, rel=1e-12)
 
 
 def test_centroid_matches_objective_minimizer(rng):

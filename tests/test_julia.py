@@ -218,6 +218,27 @@ def test_flat_direction_zero_hands_over_early(monkeypatch):
     assert r.matrix == UnimodularMatrix(1, 1, 0, 1)
 
 
+def test_stalled_line_search_raises(monkeypatch):
+    # Phi = inf everywhere but at the start of the passes: each pass's line
+    # search stalls after all its halvings (the last ones round back onto
+    # the start, whose Phi is no lower), then the diagonal retry stalls too,
+    # and the solve gives up after two passes of 1 + _HALVINGS evaluations
+    calls = []
+
+    def inf_off_the_start(X, Y2, m, x, s):
+        calls.append((x, s))
+        if (x, s) == calls[0]:
+            return _phi(X, Y2, m, x, s)
+        return math.inf, (math.nan, math.nan), (math.nan,) * 3
+
+    monkeypatch.setattr(formred.julia, "_phi", inf_off_the_start)
+    with pytest.raises(ConvergenceError, match="did not reach"):
+        minimize_theta0(BinaryForm((1, -6, 11, -6)))
+    halvings = formred.julia._HALVINGS
+    assert len(calls) == 2 * (1 + halvings) == 122
+    assert calls[1 + halvings] == calls[0]  # the diagonal retry's start
+
+
 @pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])
 def test_phi_numbers_match_columns(rng, r, s):
     # one form's entries as floats against a block's columns at its row:

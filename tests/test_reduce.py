@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -538,6 +539,20 @@ def test_overflowing_double_roots_end_in_domain_errors():
         with pytest.raises(DomainError,
                            match=f"overflows the doubles: no {what}"):
             fn(g)
+
+
+def test_roots_far_from_zero_reduce_hyperbolically():
+    # the roots 10^9 + i, 10^9 + 1 + i and 10^9 + 2 + 3i: psi(|z|^2, y) - t^2
+    # cancelled to a centroid u^2 <= 0 in doubles; the mean of |z - t|^2
+    # does not
+    f = from_upper_roots([UhpPoint(10 ** 9 + x, y)
+                          for x, y in ((0, 1), (1, 1), (2, 3))])
+    for fn in (minimize, reduce_hyperbolic):
+        r = fn(f)
+        assert scaled_primitive(transform(f, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
+        assert r.output_height == height(r.output) <= r.input_height
+        assert r.zero_used.u == pytest.approx(math.sqrt(129 / 49), rel=1e-12)
 
 
 @pytest.mark.parametrize("coeffs", TINY_ROOT_FORMS)
