@@ -42,11 +42,15 @@ the arithmetic is exact:
   blocks are exact at every size;
 - max distance: on float64, every weight is at most r2^(k-1) and every sum
   at most k r2^(k+1), so all of them are exact integers while
-  k r2^(k+1) < 2^53, and each center is then one correctly rounded
-  quotient.  Past that bound (no tested or benchmarked size gets there:
-  r2 = 20 needs k >= 11) the sums round, in an order that differs from the
-  whole-row one, so a key may move in its last bits and a near-tie between
-  two n-gons may go the other way.
+  k r2^(k+1) < 2^53.  The "definition" height is that of the records,
+  u^2 = (G s - F^2) / s^2 (`_centers`), whose products stay exact while
+  k^2 r2^(2k) < 2^53; each center is then the same correctly rounded
+  quotient that the records store, so n-gons whose exact keys tie score
+  equal keys, and `max_distance` gives the tie to the smallest root set.
+  Past those bounds (no tested or benchmarked size gets there: r2 = 20
+  needs k >= 6) the sums or products round, in an order that differs from
+  the whole-row one, so a key may move in its last bits and a near-tie
+  between two n-gons may go the other way.
 
 The comparison gathers, expands and shifts only the rows whose two shifts
 differ: equal shifts give equal heights, which count as the same result.
@@ -92,7 +96,7 @@ DEFAULT_COMPARE_TIE = "up-2dp"
 # (calibrated against the two worked examples; see README).  "mean-y" scores
 # the centroid with u = psi(y, y), the weighted mean of the root heights,
 # which is what the reference center values were computed with; the stored
-# records always carry the definition u = sqrt(|C|^2 - t^2).
+# records always carry the definition's u, u^2 = psi(|z - t|^2, y).
 DEFAULT_MAXDIST_METRIC = "euclidean"
 DEFAULT_MAXDIST_SCOPE = "positive-re"
 DEFAULT_MAXDIST_SCAN_U = "mean-y"
@@ -209,31 +213,25 @@ def generate_records(config: LatticeConfig, workers: int = 1):
 
 
 def _records_range(task):
-    """Per index block, its NGonRecords: coefficients from `_expand_forms`,
-    com = (sum x / k, sum y / k) and, from the `_point_sums` of the exact
-    (1/y) weights w_i (s = sum w_i, T = sum w_i x_i, S2 = sum w_i |z_i|^2),
-    hyp = (T / s, sqrt((S2 s - T^2) / s^2)): the exact u^2 of
-    `hyperbolic_centroid`, as S2 s - T^2 = s sum w_i |z_i - T / s|^2 > 0.
-
-    Each center is one division of exact integers, hence correctly rounded,
-    as float(Fraction) is: Python int / int on object blocks, float64
-    division on int64 ones, where every operand is below 2^53.  The
-    coefficients fit int64 by `_int64_safe` (see `_shift_heights`), and
-    with |x_i|, y_i, |z_i| <= r2, w_i <= r2^(k-1) bounds S2 s, T^2 and s^2
-    by k^2 r2^(2k), which `generate_records` keeps below 2^53."""
+    """Per index block, its NGonRecords: coefficients from `_expand_forms`
+    and the `_centers` of the block's exact `_point_sums`, each one
+    division of exact integers, hence correctly rounded, as float(Fraction)
+    is: Python int / int on object blocks, float64 division on int64 ones,
+    where every operand is below 2^53.  The coefficients fit int64 by
+    `_int64_safe` (see `_shift_heights`), and with |x_i|, y_i, |z_i| <= r2,
+    w_i <= r2^(k-1) bounds G s, F^2 and s^2 by k^2 r2^(2k), which
+    `generate_records` keeps below 2^53."""
     points, k, dtype, lo, hi = task
     xs, ys = np.array(points, dtype=dtype).T
     for idx in _index_chunks(len(points), k, lo, hi):
-        sx, sy, _, s, T, S2 = _point_sums(xs, ys, idx)
-        usq = np.asarray((S2 * s - T * T) / (s * s), dtype=np.float64)
-        hyp_u = np.sqrt(usq)
+        com_t, com_u, hyp_t, hyp_u = _centers(_point_sums(xs, ys, idx), k)
         coeffs = np.column_stack(_expand_forms(xs[idx], ys[idx])[1:]).tolist()
         yield from map(
             NGonRecord,
             [tuple(map(points.__getitem__, row)) for row in idx.tolist()],
             [(1, *row) for row in coeffs],
-            zip((sx / k).tolist(), (sy / k).tolist()),
-            zip((T / s).tolist(), hyp_u.tolist()))
+            zip(com_t.tolist(), com_u.tolist()),
+            zip(hyp_t.tolist(), hyp_u.tolist()))
 
 
 def _range_tasks(points, k: int, workers: int, *args):
@@ -333,9 +331,8 @@ def _prefix_tails(n: int, k: int, lo: int, hi: int, tails: np.ndarray):
     prefix ending at p, the last comb(n - 1 - p, j) rows.  No pairs when
     k > n."""
     size, j = tails.shape
-    if k <= n:
-        for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
-            yield prefix, size - math.comb(n - 1 - prefix[-1], j)
+    for prefix in enumerate_ngons(range(n), k - j, (lo, hi)):
+        yield prefix, size - math.comb(n - 1 - prefix[-1], j)
 
 
 def _index_chunks(n: int, k: int, lo: int, hi: int, rows: int = _CHUNK_ROWS):
@@ -395,19 +392,21 @@ def _join_sums(head: list, tail: list) -> list:
 
 def _centers(sums: list, k: int, scan_u: str = "definition"):
     """Center of mass and hyperbolic centroid of k-subsets from their
-    `_point_sums` [sum x, sum y, prod y, s, F(, G)].
+    `_point_sums` [sum x, sum y, prod y, s, F(, G)], in their dtype.
 
-    scan_u picks the centroid height used for distance scoring:
-    "definition" is sqrt(|C|^2 - t^2) with |C|^2 = G / s; "mean-y" is
-    psi(y, y) = k prod y / s (each w_i y_i is prod y), the convention behind
-    the reference witnesses."""
+    scan_u picks the centroid height: "definition" is the u of
+    `hyperbolic_centroid`, u^2 = (G s - F^2) / s^2, one quotient of exact
+    integers as G s - F^2 = s sum w_i |z_i - F / s|^2 > 0, so the records
+    and the max-distance scan take the same correctly rounded value;
+    "mean-y" is psi(y, y) = k prod y / s (each w_i y_i is prod y), the
+    convention behind the reference witnesses."""
     sx, sy, pi, s, F, *G = sums
-    hyp_t = F / s
     if scan_u == "mean-y":
         hyp_u = k * pi / s
     else:
-        hyp_u = np.sqrt(np.maximum(G[0] / s - hyp_t * hyp_t, 0.0))
-    return sx / k, sy / k, hyp_t, hyp_u
+        hyp_u = np.sqrt(np.asarray((G[0] * s - F * F) / (s * s),
+                                   dtype=np.float64))
+    return sx / k, sy / k, F / s, hyp_u
 
 
 def _distance_key(metric, com_t, com_u, hyp_t, hyp_u):

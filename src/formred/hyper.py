@@ -164,6 +164,18 @@ def center_of_mass(points: Sequence[UhpPoint]) -> UhpPoint:
     return UhpPoint(sum(float(v) for v in ts) / n, sum(float(v) for v in us) / n)
 
 
+# The root size past which |z|^2 may overflow the doubles: the Julia solve
+# scales roots beyond it down by a power of two, and the centroid an exact
+# u^2 past the doubles down below it by a power of four
+_BIG_ROOT = 2 ** 500
+
+
+def _big_exponent(v) -> int:
+    """The least e >= 0 with v < 2^e _BIG_ROOT, for a float, int or Fraction
+    v: the bit length of floor(v / _BIG_ROOT), computed exactly."""
+    return int(v // _BIG_ROOT).bit_length()
+
+
 def hyperbolic_centroid(points: Sequence[UhpPoint]) -> UhpPoint:
     """The unique minimizer of sum_j ((t-x_j)^2 + (u-y_j)^2) / (u*y_j).
 
@@ -171,18 +183,29 @@ def hyperbolic_centroid(points: Sequence[UhpPoint]) -> UhpPoint:
     distance to t, as in `julia._julia_start`.  Each term is at least
     y_k^2 > 0, so u^2 does not cancel for roots far from 0, as
     psi(|z|^2, y) - t^2 does; both are the same rational for exact points.
-    Raises DomainError when a float |z_k - t|^2 = (x_k - t)^2 + y_k^2
-    overflows the doubles, which needs y_k^2 or (x_k - t)^2 near or past
-    them, as for the roots +-1.3e154 i of x^2 + (2^1024 - 2^970 - 1) y^2."""
+    Where u^2 is past the doubles, as for the roots +-2^512 i of
+    x^2 + (2^1024 - 2^970 - 1) y^2, float points take the exact closed form
+    on their values (each double is a Fraction), and exact points give
+    u = 2^e sqrt(u^2 / 4^e) with 4^-e u^2 below _BIG_ROOT (`_big_exponent`):
+    a power of two scales u exactly.  DomainError when u itself is past the
+    doubles."""
     if not points:
         raise ValueError("centroid of no points")
     xs = [p.t for p in points]
     ys = [p.u for p in points]
     t = psi(xs, ys)
     usq = psi([(x - t) * (x - t) + y * y for x, y in zip(xs, ys)], ys)
-    if usq - usq:  # nan for an infinite or nan float, else 0
-        raise DomainError("|z_k - t|^2 overflows the doubles: no centroid")
-    return UhpPoint(t, math.sqrt(float(usq)))
+    if usq <= sys.float_info.max:  # false for an infinite or nan float
+        return UhpPoint(t, math.sqrt(usq))
+    if not isinstance(usq, Fraction):
+        c = hyperbolic_centroid([UhpPoint(Fraction(x), Fraction(y))
+                                 for x, y in zip(xs, ys)])
+        return UhpPoint(float(c.t), c.u)
+    e = (_big_exponent(usq) + 1) // 2
+    try:
+        return UhpPoint(t, math.ldexp(math.sqrt(usq / 4 ** e), e))
+    except OverflowError:
+        raise DomainError("the centroid height is past the doubles") from None
 
 
 def centroid_from_factors(a: Sequence, b: Sequence) -> UhpPoint:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .forms import BinaryForm, UpperRootSet, roots_upper
-from .hyper import UhpPoint
+from .hyper import UhpPoint, _big_exponent
 from .quad import QuadraticForm, q_discriminant
 
 
@@ -109,16 +109,13 @@ def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
 
 
 def _root_terms(roots: UpperRootSet):
-    """x_k, y_k^2 and m_k of the terms of Phi, real roots first."""
+    """x_k, y_k and m_k of the terms of Phi, real roots first (y_k = 0);
+    unsquared, so that `minimize_theta0` squares y_k after scaling it."""
     r, s = roots.signature
-    try:
-        y2 = [float(b.u) ** 2 for b in roots.upper]
-    except OverflowError:
-        raise DomainError("|z|^2 of a root overflows the doubles: no Julia "
-                          "zero") from None
     return (np.array([float(v) for v in roots.real]
                      + [float(b.t) for b in roots.upper]),
-            np.array([0.0] * r + y2), np.array([1.0] * r + [2.0] * s))
+            np.array([0.0] * r + [float(b.u) for b in roots.upper]),
+            np.array([1.0] * r + [2.0] * s))
 
 
 def _julia_start(X, Y2):
@@ -217,11 +214,8 @@ _PHI_RTOL = 1e-12
 _HALVINGS = 60
 _MAX_STEPS = 1000
 
-# The largest log a double's theta_0 can have, and the root size past which
-# minimize_theta0 solves on roots scaled down: below it every D_k stays well
-# inside the doubles.
+# The largest log a double's theta_0 can have
 _LOG_MAX = math.log(sys.float_info.max)
-_BIG_ROOT = 2.0 ** 500
 
 
 def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
@@ -332,16 +326,13 @@ def minimize_theta0(f: BinaryForm,
         raise DomainError(
             f"signature ({r}, {s}) admits no positive definite minimizer"
         )
-    xk, yk2, m = _root_terms(roots)
+    xk, yk, m = _root_terms(roots)
     # Phi(2^e z; 2^e roots) = Phi(z; roots) + n e log 2, and the normalized
-    # weights do not change: roots past _BIG_ROOT, whose D_k may overflow,
-    # are solved scaled by the least 2^-e that brings them below it (so the
-    # small roots keep their range), and the zero is scaled back
-    e = 0
-    big = max(np.abs(xk).max(), math.sqrt(yk2.max()))
-    if big > _BIG_ROOT:
-        e = math.frexp(big / _BIG_ROOT)[1]
-        xk, yk2 = np.ldexp(xk, -e), np.ldexp(yk2, -2 * e)
+    # weights do not change: roots past hyper._BIG_ROOT, whose D_k may
+    # overflow, are solved scaled by the least 2^-e that brings them below it
+    # (so the small roots keep their range), and the zero is scaled back
+    e = _big_exponent(float(max(np.abs(xk).max(), yk.max())))
+    xk, yk2 = np.ldexp(xk, -e), np.ldexp(yk, -e) ** 2
     x, y = _julia_zero(xk, yk2, m, *_julia_start(xk, yk2))
     # the weights sqrt(p_k) there, normalized to sum m_k log p_k = 0
     log_d = np.log((x - xk) ** 2 + y * y + yk2)

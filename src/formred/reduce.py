@@ -77,17 +77,15 @@ class ReductionReport:
 
 
 def _finish(f: BinaryForm, candidate: BinaryForm, M: UnimodularMatrix,
-            method: str, zero: UhpPoint | None = None,
-            scale: Fraction = Fraction(1)) -> ReductionReport:
+            method: str, zero: UhpPoint | None = None) -> ReductionReport:
     """Keep the candidate only when it strictly lowers the height."""
     f0 = primitive(f)
     h0 = max(map(abs, f0.coeffs))
     cand = primitive(candidate)
     h1 = max(map(abs, cand.coeffs))
-    if h1 < h0:
-        return ReductionReport(f, cand, M, scale, method, h0, h1, zero)
-    return ReductionReport(f, f0, UnimodularMatrix.identity(), Fraction(1),
-                           method, h0, h0, zero)
+    if h1 >= h0:
+        cand, M, h1 = f0, UnimodularMatrix.identity(), h0
+    return ReductionReport(f, cand, M, Fraction(1), method, h0, h1, zero)
 
 
 def reduce_hyperbolic(f: BinaryForm,

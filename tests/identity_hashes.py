@@ -163,7 +163,7 @@ RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
            "julia": julia_lines}
 
 PINNED = {
-    "compare": "cee85b9e580720dd84370a04199e62e2eab6b35a5f28f32d3ef406506cfc8228",
+    "compare": "16b365b6c5ed39b84d5f6109990c54a0d0f83256d1ac653d1239d0c10a3c40e5",
     "db": "211e5158009a6375b88d3c03a936fdb1d73a3bf91454dd73a63f9329db28c8f0",
     "cli": "492738aca1838ab54bc5407313f1f56087483f63fc44f82d7f28fa72a7fad3b6",
     "julia": "ef30d0a9870ea45107365796921950f124de42b2ab88618a92c1f1c89aee140d",

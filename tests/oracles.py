@@ -426,21 +426,23 @@ def index_chunks_reference(n, k, lo, hi, rows):
 def maxdist_keys_reference(X, Y, metric, scan_u):
     """The max-distance scan's key of each row of float64 (x, y) columns,
     from all k roots of the row at once: center of mass (mean x, mean y),
-    hyperbolic centroid t = sum w x / s with the (1/y) weights w_i = prod of
-    the other y, s = sum w, and u = sum w y / s ('mean-y') or sqrt(sum w
-    |z|^2 / s - t^2) ('definition'); the key is the squared Euclidean
-    distance d2, or d2 / (2 u_com u_hyp) for 'hyperbolic'."""
+    hyperbolic centroid t = F / s with the (1/y) weights w_i = prod of the
+    other y, s = sum w and F = sum w x, and u = sum w y / s ('mean-y') or
+    sqrt((G s - F^2) / s^2) with G = sum w |z|^2 ('definition'); the key is
+    the squared Euclidean distance d2, or d2 / (2 u_com u_hyp) for
+    'hyperbolic'."""
     k = X.shape[1]
     W = np.stack([np.prod(np.delete(Y, i, axis=1), axis=1) for i in range(k)],
                  axis=1)
     s = W.sum(axis=1)
     com_t, com_u = X.mean(axis=1), Y.mean(axis=1)
-    hyp_t = (W * X).sum(axis=1) / s
+    F = (W * X).sum(axis=1)
+    hyp_t = F / s
     if scan_u == "mean-y":
         hyp_u = (W * Y).sum(axis=1) / s
     else:
-        normsq = (W * (X * X + Y * Y)).sum(axis=1) / s
-        hyp_u = np.sqrt(np.maximum(normsq - hyp_t * hyp_t, 0.0))
+        G = (W * (X * X + Y * Y)).sum(axis=1)
+        hyp_u = np.sqrt((G * s - F * F) / (s * s))
     d2 = (com_t - hyp_t) ** 2 + (com_u - hyp_u) ** 2
     if metric == "hyperbolic":
         return d2 / (2.0 * com_u * hyp_u)

@@ -315,7 +315,8 @@ def test_criterion_6_centroid_closed_forms(rng):
 def test_criterion_6_julia_optimizer(rng, triangle):
     # 20-restart uniqueness and projected gradient at the minimizer
     rs = roots_upper(triangle)
-    xk, yk2, m = _root_terms(rs)
+    xk, yk, m = _root_terms(rs)
+    yk2 = yk * yk
     zeros = []
     worst_grad = 0.0
     for _ in range(20):

@@ -433,6 +433,26 @@ def test_maxdist_keys_match_whole_row_reference(monkeypatch, r2, k, scope):
             assert rec.roots == tuple(pts[i] for i in idx[best])
 
 
+@pytest.mark.parametrize("r2, k", [(4, 3), (5, 3), (3, 4), (6, 3)])
+def test_maxdist_witness_is_the_best_stored_record(r2, k):
+    # the scan scores the centers the records store, so its witness is the
+    # smallest root set among the records of the largest key; at 5/3
+    # hyperbolic positive-re ((1,1),(2,1),(4,1)) and ((1,1),(3,1),(4,1))
+    # tie, both at u^2 = 23/9
+    for scope in dbgen.MAXDIST_SCOPES:
+        region = "positive-re" if scope == "positive-re" else dbgen.REGIONS[0]
+        recs = list(generate_records(LatticeConfig(r2, k, region)))
+        com = np.array([r.com for r in recs]).T
+        hyp = np.array([r.hyp for r in recs]).T
+        for metric in dbgen.MAXDIST_METRICS:
+            keys = dbgen._distance_key(metric, *com, *hyp)
+            best = min(r.roots for r, key in zip(recs, keys)
+                       if key == keys.max())
+            got = max_distance(LatticeConfig(r2, k), metric, scope,
+                               "definition")
+            assert got.roots == best
+
+
 def random_roots(rng, k, span=30):
     roots = set()
     while len(roots) < k:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formred import (UhpPoint, UnimodularMatrix, center_of_mass,
+from formred import (DomainError, UhpPoint, UnimodularMatrix, center_of_mass,
                      centroid_from_factors, dist_h, hyperbolic_centroid,
                      mobius, nint, psi, reduce_to_fundamental, right_action)
 from conftest import random_upper_points
@@ -152,6 +152,37 @@ def test_float_centroid_matches_exact_far_from_zero(center, roots):
                                for x, y in roots])
     assert got.t == pytest.approx(float(exact.t), rel=1e-12, abs=1e-12)
     assert got.u == pytest.approx(exact.u, rel=1e-12)
+
+
+def test_centroid_of_points_too_large_to_square():
+    # u^2 past the doubles: float points take the exact closed form, which
+    # moves along with z -> 2^e z bit for bit, and exact ones scale u^2 by
+    # a power of two; a float sum would overflow in the weighted terms
+    pts = [(0.75, 1.5), (-2.0, 0.25), (5.0, 3.0)]
+    c = hyperbolic_centroid([UhpPoint(Fraction(x), Fraction(y))
+                             for x, y in pts])
+    for e in (520, 600, 1000):
+        got = hyperbolic_centroid([UhpPoint(math.ldexp(x, e), math.ldexp(y, e))
+                                   for x, y in pts])
+        assert got == UhpPoint(math.ldexp(float(c.t), e), math.ldexp(c.u, e))
+    # a far root of tiny weight, beside a near one of large weight: u ~ 2^300
+    got = hyperbolic_centroid([UhpPoint(2.0 ** 600, 1.0),
+                               UhpPoint(0.0, 2.0 ** -600)])
+    assert got.t == pytest.approx(1.0, rel=1e-15)
+    assert got.u == pytest.approx(2.0 ** 300, rel=1e-15)
+    assert hyperbolic_centroid([UhpPoint(0, 10 ** 200)]) == UhpPoint(0, 1e200)
+    big = [(3 * 10 ** 200, 10 ** 200), (-(10 ** 201), 7 * 10 ** 199)]
+    exact = hyperbolic_centroid([UhpPoint(x, y) for x, y in big])
+    t = psi([x for x, _ in big], [y for _, y in big])
+    usq = psi([(x - t) ** 2 + y * y for x, y in big], [y for _, y in big])
+    assert exact.t == t
+    assert exact.u == pytest.approx(math.sqrt(usq / 10 ** 400) * 1e200,
+                                    rel=1e-15)
+    got = hyperbolic_centroid([UhpPoint(float(x), float(y)) for x, y in big])
+    assert got.t == pytest.approx(float(t), rel=1e-12)
+    assert got.u == pytest.approx(exact.u, rel=1e-12)
+    with pytest.raises(DomainError, match="past the doubles"):
+        hyperbolic_centroid([UhpPoint(0, 10 ** 400)])
 
 
 def test_centroid_matches_objective_minimizer(rng):

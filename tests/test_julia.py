@@ -171,7 +171,8 @@ def test_zero_equivariance_small(rng):
 
 def test_restart_stability(rng, pentagon):
     rs = roots_upper(pentagon)
-    xk, yk2, m = _root_terms(rs)
+    xk, yk, m = _root_terms(rs)
+    yk2 = yk * yk
     zeros = []
     for _ in range(20):
         x, y = _julia_zero(xk, yk2, m, rng.uniform(-30, 30),
@@ -192,7 +193,8 @@ def test_flat_direction_zero_converges():
     f = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
     rs = roots_upper(f)
     assert rs.signature == (4, 0)
-    xk, yk2, m = _root_terms(rs)
+    xk, yk, m = _root_terms(rs)
+    yk2 = yk * yk
     x, y = _julia_zero(xk, yk2, m, *_julia_start(xk, yk2))
     G = theta0_log_gradient(rs.real, (), np.sqrt(1 / ((x - xk) ** 2 + y * y)),
                             (), f.degree)
@@ -325,7 +327,8 @@ def test_underflowing_trial_point_is_rejected(monkeypatch):
 def test_julia_start_is_hyperbolic_centroid(rng):
     for _ in range(30):
         pts = random_upper_points(rng, int(rng.integers(1, 7)))
-        xk, yk2, _ = _root_terms(_rootset(upper=pts))
+        xk, yk, _ = _root_terms(_rootset(upper=pts))
+        yk2 = yk * yk
         c = hyperbolic_centroid([UhpPoint(x, y) for x, y in pts])
         x, y = _julia_start(xk, yk2)
         assert abs(x - float(c.t)) < 1e-12 and abs(y - float(c.u)) < 1e-12
@@ -347,7 +350,8 @@ def test_batched_zeros_match_scalar(r2, k):
 
 
 def test_batched_restarts_match_scalar(rng, pentagon):
-    xk, yk2, m = _root_terms(roots_upper(pentagon))
+    xk, yk, m = _root_terms(roots_upper(pentagon))
+    yk2 = yk * yk
     x0 = rng.uniform(-30, 30, 20)
     y0 = np.exp(rng.uniform(-3, 4, 20))
     x, y, stalled = _julia_zeros(np.tile(xk, (20, 1)), np.tile(yk2, (20, 1)),

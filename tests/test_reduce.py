@@ -526,19 +526,25 @@ def test_coefficients_past_the_doubles_are_a_domain_error(capsys):
 
 def test_overflowing_double_roots_end_in_domain_errors():
     # (1, 10^200, 10^300) gets its two real roots, so neither pipeline has a
-    # zero point; x^2 + (2^1024 - 2^970 - 1) y^2 gets its roots +-2^512 i,
-    # whose |z|^2 overflows the doubles in the hyperbolic centroid and the
-    # Julia solve
+    # zero point
     f = BinaryForm((1, 10 ** 200, 10 ** 300))
     for fn in (minimize, reduce_julia):
         with pytest.raises(DomainError, match="signature \\(2, 0\\)"):
             fn(f)
+
+
+def test_roots_too_large_to_square_get_reports():
+    # x^2 + (2^1024 - 2^970 - 1) y^2 gets its roots +-2^512 i, whose |z|^2
+    # overflows the doubles: the hyperbolic centroid and the Julia solve
+    # take them scaled by a power of two, and scale the zero back
     g = BinaryForm((1, 0, 2 ** 1024 - 2 ** 970 - 1))
-    for fn, what in ((minimize, "centroid"), (reduce_hyperbolic, "centroid"),
-                     (reduce_julia, "Julia zero")):
-        with pytest.raises(DomainError,
-                           match=f"overflows the doubles: no {what}"):
-            fn(g)
+    for fn in (minimize, reduce_hyperbolic, reduce_julia):
+        r = fn(g)
+        assert scaled_primitive(transform(g, r.matrix).coeffs, r.scale) == \
+            r.output.coeffs
+        assert r.output_height == height(r.output) <= r.input_height
+        assert r.zero_used.u == pytest.approx(2.0 ** 512, rel=1e-12)
+        assert abs(r.zero_used.t) <= 1e-12 * r.zero_used.u
 
 
 def test_roots_far_from_zero_reduce_hyperbolically():
