@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 numeric non-convergence, 3 domain
-error.  Coefficients are comma-separated integers in DESCENDING x-power
-(so x^2 + 4y^2 is --coeffs 1,0,4).  With --json the output is a single
-machine-readable object, byte-identical across runs and worker counts;
-human tables print floats with 6 decimals and heights exactly.
+Exit codes: 0 success, 1 usage error (an unwritable --out among them), 2
+numeric non-convergence, 3 domain error.  Coefficients are comma-separated
+integers in DESCENDING x-power (so x^2 + 4y^2 is --coeffs 1,0,4).  With
+--json the output is a single machine-readable object, byte-identical
+across runs and worker counts; human tables print floats with 6 decimals
+and heights exactly.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"formred: did not converge: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"formred: error: {exc}", file=sys.stderr)
         return 1
     _emit(obj, args.json)

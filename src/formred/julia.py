@@ -87,25 +87,17 @@ def q_of_weights(roots: UpperRootSet, w: JuliaWeights) -> QuadraticForm:
 
 def theta0(f: BinaryForm, roots: UpperRootSet, w: JuliaWeights) -> float:
     """theta_0 of f at the given weights; positive, scale-invariant in w.
-    When one of its factors overflows the doubles, theta_0 comes from the
-    sum of their logs instead, and is math.inf when it is past the doubles
-    itself."""
+    It is the exp of the sum of its factors' logs, so that no factor
+    overflows, and math.inf when it is past the doubles itself."""
     if f.coeffs[0] == 0:
         raise DomainError("leading coefficient is zero: shift the form first")
     Q = q_of_weights(roots, w)
     D = float(q_discriminant(Q))
     if D >= 0:
         raise DomainError("degenerate weighted quadratic (disc >= 0)")
-    n = f.degree
-    try:
-        denom = math.prod(float(v) ** 2 for v in w.t) * math.prod(
-            float(v) ** 4 for v in w.u
-        )
-        return float(f.coeffs[0]) ** 2 * abs(D) ** (n / 2) / denom
-    except OverflowError:
-        log_theta = (2 * math.log(abs(f.coeffs[0])) + n / 2 * math.log(-D)
-                     - 2 * sum(map(math.log, w.t)) - 4 * sum(map(math.log, w.u)))
-        return math.exp(log_theta) if log_theta <= _LOG_MAX else math.inf
+    log_theta = (2 * math.log(abs(f.coeffs[0])) + f.degree / 2 * math.log(-D)
+                 - 2 * sum(map(math.log, w.t)) - 4 * sum(map(math.log, w.u)))
+    return math.exp(log_theta) if log_theta <= _LOG_MAX else math.inf
 
 
 def _root_terms(roots: UpperRootSet):
@@ -171,27 +163,33 @@ def _phi(X, Y2, m, x, s):
     return P[0], P[1:3], P[3:]
 
 
-def _newton_step(g, H, diagonal=False):
-    """The Newton step -H^-1 g of one form's frame gradient g and Hessian H,
-    or -g where H is not positive definite; closed-form 2x2 solve in floats.
-    With `diagonal`, such a step is -g_i / h_ii instead where both h_ii > 0."""
+def _newton_step(g, H):
+    """The step of one form's frame gradient g and Hessian H: Newton's
+    -H^-1 g by the closed-form 2x2 solve where H is positive definite, else
+    -g_i / h_ii where both h_ii > 0, else -g; in floats."""
     (g0, g1), (h00, h01, h11) = g, H
     det = h00 * h11 - h01 * h01
     if h00 > 0 and det > 0:
         return (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
-    if diagonal and h00 > 0 and h11 > 0:
+    if h00 > 0 and h11 > 0:
         return -g0 / h00, -g1 / h11
     return -g0, -g1
 
 
 def _newton_steps(g, H):
-    """`_newton_step` without `diagonal`, on a block's columns."""
+    """`_newton_step` on a block's columns: the Newton step of every row,
+    then, by index, the other rules on the few rows whose H is not positive
+    definite.  As there, an infinite det counts as positive and a nan det
+    does not."""
     h00, h01, h11 = H
-    det = h00 * h11 - h01 * h01
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.where((h00 > 0) & (det > 0),
-                        np.array((h01 * g[1] - h11 * g[0],
-                                  h01 * g[0] - h00 * g[1])) / det, -g)
+        det = h00 * h11 - h01 * h01
+        step = np.array((h01 * g[1] - h11 * g[0],
+                         h01 * g[0] - h00 * g[1])) / det
+        i = np.flatnonzero(~((h00 > 0) & (det > 0)))
+        h = np.array((h00[i], h11[i]))
+        step[:, i] = -g[:, i] / np.where((h > 0).all(axis=0), h, 1.0)
+    return step
 
 
 def _absmax(g):
@@ -205,10 +203,10 @@ def _absmax(g):
 # point is taken when it lowers Phi or, since near the minimum Phi ties at
 # rounding level, when it raises Phi by at most _PHI_RTOL (1 + |Phi|) and
 # halves the gradient.  A solve on the mixed population or the r2=4
-# pentagons takes at most 15 steps, but one that zigzags down from a far
-# start takes thousands: 1 908 for the roots 5 * 2^498 and +-2^-234,
-# where the diagonal retry takes 279.  The budget hands such a solve to the
-# retry early and leaves the retry room to cross the doubles' range.
+# pentagons takes at most 13 steps, one from a far start hundreds: 279 for
+# the roots 5 * 2^498 and +-2^-234, whose start is 10^220 times as high as
+# the zero.  The budget leaves such a solve room to cross the doubles'
+# range and bounds the cost of one that never converges.
 _GRAD_TOL = 1e-10
 _PHI_RTOL = 1e-12
 _HALVINGS = 60
@@ -222,39 +220,37 @@ def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
                 y: float):
     """Damped Newton on Phi(x, s), y = e^s, from (x, y) to a hyperbolic
     gradient (y dPhi/dx, dPhi/ds) below 1e-10; returns the minimizer (x, y).
-    Steps are taken in the frame (dx / y, ds) and follow the negative gradient
-    where the Hessian is not positive definite.  Along a nearly flat
-    direction those steps can zigzag until the step budget runs out, as for
-    the roots -1.2e7, 0, 1, 1.2e7; when the line search stalls or the budget
-    runs out, the solve starts over with _newton_step's diagonal steps, and
-    raises ConvergenceError only when that fails as well.  It runs on Python
-    floats."""
+    Steps are `_newton_step`'s, taken in the frame (dx / y, ds): where the
+    Hessian is not positive definite, as along the nearly flat ds direction
+    of the roots -1.2e7, 0, 1, 1.2e7, they are the diagonal steps, which do
+    not zigzag there as the negative gradient does.  Raises
+    ConvergenceError when the line search stalls or the step budget runs
+    out.  It runs on Python floats."""
     X, Y2, m = X.tolist(), Y2.tolist(), m.tolist()
-    for diagonal in (False, True):
-        x1, s = float(x), math.log(y)
-        phi, g, H = _phi(X, Y2, m, x1, s)
-        for _ in range(_MAX_STEPS):
-            gnorm = _absmax(g)
-            step = _newton_step(g, H, diagonal)
-            y1 = math.exp(s)
-            if gnorm < _GRAD_TOL:
-                # the test bounds the error only up to the Hessian's
-                # conditioning; one more step from here lands at rounding level
-                trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
-                if _absmax(trial[1]) <= gnorm:
-                    x1, s = x1 + y1 * step[0], s + step[1]
-                return x1, math.exp(s)
-            for _ in range(_HALVINGS):
-                trial = _phi(X, Y2, m, x1 + y1 * step[0], s + step[1])
-                if trial[0] < phi or (
-                        trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
-                        and _absmax(trial[1]) < 0.5 * gnorm):
-                    x1, s = x1 + y1 * step[0], s + step[1]
-                    phi, g, H = trial
-                    break
-                step = step[0] / 2, step[1] / 2
-            else:
-                break  # the line search stalled
+    x, s = float(x), math.log(y)
+    phi, g, H = _phi(X, Y2, m, x, s)
+    for _ in range(_MAX_STEPS):
+        gnorm = _absmax(g)
+        step = _newton_step(g, H)
+        y = math.exp(s)
+        if gnorm < _GRAD_TOL:
+            # the test bounds the error only up to the Hessian's
+            # conditioning; one more step from here lands at rounding level
+            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
+            if _absmax(trial[1]) <= gnorm:
+                x, s = x + y * step[0], s + step[1]
+            return x, math.exp(s)
+        for _ in range(_HALVINGS):
+            trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
+            if trial[0] < phi or (
+                    trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
+                    and _absmax(trial[1]) < 0.5 * gnorm):
+                x, s = x + y * step[0], s + step[1]
+                phi, g, H = trial
+                break
+            step = step[0] / 2, step[1] / 2
+        else:
+            break  # the line search stalled
     raise ConvergenceError(
         f"theta_0 minimization did not reach tol={_GRAD_TOL:g}")
 

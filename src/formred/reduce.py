@@ -295,9 +295,9 @@ def minimize(f: BinaryForm, patience: int = 3, bound: int = 64,
     """Full pipeline: a zero-point reduction picked from the root signature
     (hyperbolic centroid with no real root, center of mass with a non-real
     one, Julia otherwise; none for an unstable form), then shift descent,
-    then the scaling scan."""
+    then the scaling scan.  A form of degree 1 is a DomainError."""
     if f.degree < 2:
-        raise ValueError("minimize needs degree >= 2")
+        raise DomainError("minimize needs degree >= 2")
     # refuse a bad tie, patience or bound before any root finding
     nint(0, tie)
     _at_least_1(patience=patience, bound=bound)

@@ -464,7 +464,7 @@ def minimize_cascade(f, patience=3, bound=64, tie="away"):
                          shift_descent)
 
     if f.degree < 2:
-        raise ValueError("minimize needs degree >= 2")
+        raise DomainError("minimize needs degree >= 2")
     try:
         stage1 = reduce_hyperbolic(f)
     except DomainError:
@@ -600,51 +600,46 @@ def _phi_reference(X, Y2, m, x, s):
     return P[0], P[1:3], P[3:]
 
 
-def _newton_step_reference(g, H, diagonal):
-    """-H^-1 g by the closed-form 2x2 solve on numpy values, or -g (-g_i /
-    h_ii with `diagonal` where both h_ii > 0) where H is not positive
-    definite."""
+def _newton_step_reference(g, H):
+    """-H^-1 g by the closed-form 2x2 solve on numpy values where H is
+    positive definite, else -g_i / h_ii where both h_ii > 0, else -g."""
     h00, h01, h11 = H
     det = h00 * h11 - h01 * h01
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        other = -g
-        if diagonal:
-            other = np.where((h00 > 0) & (h11 > 0),
-                             other / np.array((h00, h11)), other)
-        return np.where((h00 > 0) & (det > 0),
-                        np.array((h01 * g[1] - h11 * g[0],
-                                  h01 * g[0] - h00 * g[1])) / det, other)
+        if h00 > 0 and det > 0:
+            return np.array((h01 * g[1] - h11 * g[0],
+                             h01 * g[0] - h00 * g[1])) / det
+        if h00 > 0 and h11 > 0:
+            return -g / np.array((h00, h11))
+        return -g
 
 
 def julia_zero_reference(X, Y2, m, x, y):
     """The single-form damped Newton for the Julia zero on numpy scalars,
-    with `julia._julia_zero`'s start, steps, line search, stopping rule and
-    diagonal restart; (x, y), or None where both passes fail."""
+    with `julia._julia_zero`'s start, steps, line search and stopping rule;
+    (x, y), or None where the line search stalls or the steps run out."""
     from formred.julia import _GRAD_TOL, _HALVINGS, _MAX_STEPS, _PHI_RTOL
 
-    for diagonal in (False, True):
-        x1, s = x, math.log(y)
-        phi, g, H = _phi_reference(X, Y2, m, x1, s)
-        for _ in range(_MAX_STEPS):
-            gnorm = np.max(np.abs(g))
-            step = _newton_step_reference(g, H, diagonal)
-            y1 = math.exp(s)
-            if gnorm < _GRAD_TOL:
-                trial = _phi_reference(X, Y2, m, x1 + y1 * step[0],
-                                       s + step[1])
-                if np.max(np.abs(trial[1])) <= gnorm:
-                    x1, s = x1 + y1 * step[0], s + step[1]
-                return x1, math.exp(s)
-            for _ in range(_HALVINGS):
-                trial = _phi_reference(X, Y2, m, x1 + y1 * step[0],
-                                       s + step[1])
-                if trial[0] < phi or (
-                        trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
-                        and np.max(np.abs(trial[1])) < 0.5 * gnorm):
-                    x1, s = x1 + y1 * step[0], s + step[1]
-                    phi, g, H = trial
-                    break
-                step = step / 2
-            else:
+    x1, s = x, math.log(y)
+    phi, g, H = _phi_reference(X, Y2, m, x1, s)
+    for _ in range(_MAX_STEPS):
+        gnorm = np.max(np.abs(g))
+        step = _newton_step_reference(g, H)
+        y1 = math.exp(s)
+        if gnorm < _GRAD_TOL:
+            trial = _phi_reference(X, Y2, m, x1 + y1 * step[0], s + step[1])
+            if np.max(np.abs(trial[1])) <= gnorm:
+                x1, s = x1 + y1 * step[0], s + step[1]
+            return x1, math.exp(s)
+        for _ in range(_HALVINGS):
+            trial = _phi_reference(X, Y2, m, x1 + y1 * step[0], s + step[1])
+            if trial[0] < phi or (
+                    trial[0] < phi + _PHI_RTOL * (1 + abs(phi))
+                    and np.max(np.abs(trial[1])) < 0.5 * gnorm):
+                x1, s = x1 + y1 * step[0], s + step[1]
+                phi, g, H = trial
                 break
+            step = step / 2
+        else:
+            break
     return None

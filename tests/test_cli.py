@@ -111,7 +111,7 @@ def test_byte_identical_output_across_runs_and_workers(capsys):
     assert len(outs) == 1
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     # usage error: unknown flag
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "--bogus"])
@@ -134,6 +134,17 @@ def test_exit_codes(capsys, monkeypatch):
     # a ValueError of the library is a usage error
     code, _, err = run(capsys, "compare", "--k", "3", "--r2", "1")
     assert code == 1 and "r2 must be at least 2" in err
+    # minimize of a degree-1 form is a domain error, as every other refusal
+    code, _, err = run(capsys, "minimize", "--coeffs", "1,2")
+    assert code == 3 and "degree >= 2" in err
+    # an unwritable --out is one error line, not a traceback
+    missing = str(tmp_path / "missing")
+    for argv in (("gen", "--k", "3", "--r2", "3", "--out"),
+                 ("compare", "--k", "3", "--r2", "3", "--out")):
+        code, _, err = run(capsys, *argv, missing + "/x.json")
+        assert code == 1
+        assert err.startswith("formred: error: ") and err.count("\n") == 1
+        assert missing in err
 
     # numeric non-convergence
     def no_convergence(*args, **kwargs):

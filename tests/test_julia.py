@@ -14,8 +14,8 @@ from formred import (BinaryForm, ConvergenceError, DomainError, JuliaWeights,
                      q_discriminant, q_of_weights, reduce_julia, roots_upper,
                      shift, theta0, transform)
 from conftest import random_upper_points
-from formred.julia import (_julia_start, _julia_zero, _julia_zeros, _phi,
-                           _root_terms)
+from formred.julia import (_julia_start, _julia_zero, _julia_zeros,
+                           _newton_step, _newton_steps, _phi, _root_terms)
 from oracles import (julia_zero_grid, julia_zero_reference, random_sl2,
                      theta0_log_gradient)
 
@@ -76,9 +76,9 @@ def test_theta0_quadratic_is_constant():
 
 
 def test_theta0_and_zero_past_the_doubles():
-    # theta_0 = 4 |disc| for [a, b, c]: where c_0^2 overflows it comes from
-    # logs, and it is math.inf where it is past the doubles itself; roots
-    # past 2^500 are solved scaled, and the zero is scaled back
+    # theta_0 = 4 |disc| for [a, b, c]: it comes from logs, so c_0^2 may
+    # overflow, and it is math.inf where it is past the doubles itself;
+    # roots past 2^500 are solved scaled, and the zero is scaled back
     for coeffs, theta, u in (((2 ** 600, 0, 1), 2.0 ** 604, 2.0 ** -300),
                              ((1, 0, 2 ** 1010), 2.0 ** 1014, 2.0 ** 505),
                              ((2 ** 512, 0, 2 ** 512), math.inf, 1.0),
@@ -188,8 +188,8 @@ def test_restart_stability(rng, pentagon):
 
 def test_flat_direction_zero_converges():
     # real roots -1.2e7, 0, 1, 1.2e7: the Hessian turns indefinite along the
-    # nearly flat ds direction and the -g steps zigzag in x for the whole
-    # step budget; the diagonal steps reach the minimum
+    # nearly flat ds direction, where -g steps would zigzag in x; the
+    # diagonal steps reach the minimum
     f = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
     rs = roots_upper(f)
     assert rs.signature == (4, 0)
@@ -205,26 +205,52 @@ def test_flat_direction_zero_converges():
 
 
 def test_flat_direction_zero_hands_over_early(monkeypatch):
-    # the zigzag of test_flat_direction_zero_converges spends the first
-    # pass's whole step budget, two Phi evaluations a step, before the
-    # diagonal retry solves it in 19 steps; a budget of 10 000 steps took
-    # 20 008 evaluations
-    f = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
+    # the Phi evaluations of one solve: the flat quartic of
+    # test_flat_direction_zero_converges, and the roots 5 * 2^498 and
+    # +-2^-234, whose start lies far above the zero.  Steps along -g where
+    # the Hessian is not positive definite would zigzag on both, for
+    # thousands of evaluations; the diagonal steps take 21 and 294
+    flat = BinaryForm((-659892, -659892, 10 ** 20, -10 ** 20, -3492407))
+    far = BinaryForm((1, -5 * 2 ** 498, 0, 2 ** 32))
     calls = []
     monkeypatch.setattr(formred.julia, "_phi",
                         lambda *a: calls.append(1) or _phi(*a))
-    r = reduce_julia(f)
-    assert len(calls) < 5000
+    r = reduce_julia(flat)
+    assert len(calls) <= 50
     assert r.output.coeffs == (659892, 3299460, -99999999999994060972,
                                -99999999999995380756, 4812191)
     assert r.matrix == UnimodularMatrix(1, 1, 0, 1)
+    calls.clear()
+    r = reduce_julia(far)
+    assert len(calls) <= 600
+    assert r.output == far and r.matrix == UnimodularMatrix.identity()
+
+
+def test_newton_steps_match_scalar(rng):
+    # the block's step rule is the scalar one, row by row: Newton where H is
+    # positive definite, -g_i / h_ii where both h_ii > 0, else -g; an
+    # infinite det counts as positive and a nan det as not, on both paths
+    g = rng.normal(size=(2, 300))
+    H = rng.normal(size=(3, 300))
+    H[:, :4] = np.array([(1e200, 0.0, 1e200), (1.0, math.nan, 2.0),
+                         (math.inf, 1.0, 0.0), (2.0, 1e200, 3.0)]).T
+    h00, h01, h11 = H
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = h00 * h11 - h01 * h01
+    newton = (h00 > 0) & (det > 0)
+    diagonal = ~newton & (h00 > 0) & (h11 > 0)
+    assert newton.sum() > 20 and diagonal.sum() > 20
+    assert (~newton & ~diagonal).sum() > 20
+    steps = _newton_steps(g, H)
+    for i in range(g.shape[1]):
+        np.testing.assert_array_equal(
+            steps[:, i], _newton_step(g[:, i].tolist(), H[:, i].tolist()))
 
 
 def test_stalled_line_search_raises(monkeypatch):
-    # Phi = inf everywhere but at the start of the passes: each pass's line
-    # search stalls after all its halvings (the last ones round back onto
-    # the start, whose Phi is no lower), then the diagonal retry stalls too,
-    # and the solve gives up after two passes of 1 + _HALVINGS evaluations
+    # Phi = inf everywhere but at the start: the line search stalls after
+    # all its halvings (the last ones round back onto the start, whose Phi
+    # is no lower), and the solve gives up after 1 + _HALVINGS evaluations
     calls = []
 
     def inf_off_the_start(X, Y2, m, x, s):
@@ -236,9 +262,7 @@ def test_stalled_line_search_raises(monkeypatch):
     monkeypatch.setattr(formred.julia, "_phi", inf_off_the_start)
     with pytest.raises(ConvergenceError, match="did not reach"):
         minimize_theta0(BinaryForm((1, -6, 11, -6)))
-    halvings = formred.julia._HALVINGS
-    assert len(calls) == 2 * (1 + halvings) == 122
-    assert calls[1 + halvings] == calls[0]  # the diagonal retry's start
+    assert len(calls) == 1 + formred.julia._HALVINGS == 61
 
 
 @pytest.mark.parametrize("r, s", [(1, 2), (3, 1), (2, 3), (5, 0)])
@@ -314,9 +338,9 @@ def test_underflowing_trial_point_is_rejected(monkeypatch):
     want = _julia_zero(X, Y2, m, 0.0, 1.0)
     step, steps = formred.julia._newton_step, []
 
-    def first_step_down(g, H, diagonal=False):
+    def first_step_down(g, H):
         steps.append(g)
-        return (0.0, -800.0) if len(steps) == 1 else step(g, H, diagonal)
+        return (0.0, -800.0) if len(steps) == 1 else step(g, H)
 
     monkeypatch.setattr(formred.julia, "_newton_step", first_step_down)
     x, y = _julia_zero(X, Y2, m, 0.0, 1.0)
