@@ -62,9 +62,7 @@ import bisect
 import itertools
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -266,6 +264,10 @@ def _fan_out(fn, points, k: int, workers: int, *args):
         for task in tasks:
             yield from fn(task)
         return
+    # imported here, so that `import formred` does not load the pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_apart,
                              initargs=(multiprocessing.Value("i", 0),)) as pool:
         for items in pool.map(_listed, itertools.repeat(fn), tasks):

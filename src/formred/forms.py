@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .errors import ConvergenceError, DomainError
 
@@ -121,11 +122,9 @@ class UpperRootSet:
 
 
 def content(f: BinaryForm) -> int:
-    """gcd of the coefficients, always positive."""
-    g = 0
-    for c in f.coeffs:
-        g = math.gcd(g, abs(c))
-    return g
+    """gcd of the coefficients, always positive: one math.gcd call, which
+    takes any number of ints and returns a nonnegative result."""
+    return math.gcd(*f.coeffs)
 
 
 def primitive(f: BinaryForm) -> BinaryForm:
@@ -154,9 +153,7 @@ def _strip(p: list) -> list:
 
 def _pp(p: list) -> list:
     """Primitive part of a nonzero polynomial, leading coefficient positive."""
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
+    g = math.gcd(*p)
     if p[0] < 0:
         g = -g
     return [c // g for c in p]
@@ -314,7 +311,7 @@ def _taylor_shift(b: list, m) -> list:
     return b
 
 
-def _horner2(coeffs: Sequence[int], z: complex):
+def _horner2(coeffs: Sequence[float], z: complex):
     """p(z), p'(z) and a bound on the rounding error of the p(z) evaluation."""
     p = 0j
     dp = 0j
@@ -327,9 +324,13 @@ def _horner2(coeffs: Sequence[int], z: complex):
     return p, dp, e * 2.2e-16
 
 
-def _polish_root(coeffs: Sequence[int], z: complex):
-    """At most three Newton steps against the exact integer coefficients,
-    in doubles.
+def _polish_root(coeffs: Sequence[float], z: complex):
+    """At most three Newton steps against the coefficients, in doubles.
+
+    `_double_roots` passes the integer coefficients each rounded to a
+    double, the list it builds for the companion matrix.  Integer
+    coefficients give the same bits: complex + int converts the int by the
+    same correctly rounded PyLong_AsDouble as float(), at every step.
 
     Returns (root, ill) where ill means the evaluation rounding bound keeps
     the forward error above ~1e-13, i.e. doubles cannot certify this root.
@@ -376,6 +377,17 @@ def _double_roots(coeffs: Sequence[int]):
     coefficient past the doubles (|c| >= 2^1024 - 2^970, which rounds up to
     2^1024) raises DomainError.
 
+    The eigenvalues come from `_eigvals`, the gufunc that np.linalg.eigvals
+    wraps, called directly: the wrapper's checks cannot fail on this square,
+    2-D float64 matrix, finite since |c_0| >= 1, and its cast of an all-real
+    result to float changes no value.  It costs more than LAPACK on these
+    small matrices.  The wrapper also turns a LAPACK non-convergence (never
+    observed) into LinAlgError; the gufunc returns NaN eigenvalues instead,
+    and sets numpy's invalid flag (a RuntimeWarning under numpy's default
+    error state).  Their polish keeps the NaN starts and flags them ill, and
+    _roots_high_precision refuses a start that is not finite with
+    ConvergenceError.
+
     A non-real root whose exact conjugate was polished before it takes the
     conjugate of that result and its ill flag; any other root is polished
     itself.  This is the result of polishing it: LAPACK returns the complex
@@ -383,19 +395,18 @@ def _double_roots(coeffs: Sequence[int]):
     and with real coefficients every step of _polish_root (complex +, *, /
     and abs) is conjugate-symmetric bit for bit."""
     try:
-        p = np.array([float(c) for c in coeffs])
+        p = [float(c) for c in coeffs]
     except OverflowError:
         raise DomainError("a coefficient is past the doubles (|c| >= 2^1024 "
                           "- 2^970), so its roots cannot be found") from None
     zeros = len(coeffs) - len(_strip(coeffs[::-1]))
     A = np.eye(len(p) - zeros - 1, k=-1)
-    A[:1] = -p[1:len(p) - zeros] / p[0]
+    A[:1] = -np.array(p[1:len(p) - zeros]) / p[0]
     roots, ill, upper = [], False, {}
-    for z in [*np.linalg.eigvals(A), *[0.0] * zeros]:
-        z = complex(z)
+    for z in [*_eigvals(A, signature="d->D").tolist(), *[0j] * zeros]:
         pair = upper.get(z.conjugate()) if z.imag < 0 else None
         if pair is None:
-            pair = _polish_root(coeffs, z)
+            pair = _polish_root(p, z)
             if z.imag > 0:
                 upper[z] = pair
             roots.append(pair[0])

@@ -21,6 +21,11 @@ from .forms import UnimodularMatrix
 
 
 def _exact(v) -> bool:
+    """Whether v is an int or a Fraction (a bool is not).  A float, what
+    root finding gives every UhpPoint, is refused first: for any value but
+    an int, the isinstance check goes through ABCMeta.__instancecheck__."""
+    if type(v) is float:
+        return False
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 

@@ -4,6 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
@@ -496,7 +499,8 @@ def test_workers_clamped_to_cpu_count(engine, monkeypatch):
         splits.append(workers)
         return _range_tasks(points, k, workers, *args)
 
-    monkeypatch.setattr(dbgen, "ProcessPoolExecutor", FakePool)
+    # _fan_out imports the pool class from its module at each pool run
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(dbgen, "_range_tasks", recorded)
     cfg = LatticeConfig(r2=4, kgon=3)
     run = ENGINES[engine]
@@ -508,6 +512,20 @@ def test_workers_clamped_to_cpu_count(engine, monkeypatch):
     monkeypatch.setattr(dbgen.os, "cpu_count", lambda: None)
     assert run(cfg, 8) == expected
     assert len(pools) == 4 and splits[-1] == 1
+
+
+def test_import_does_not_load_the_process_pool():
+    # only a scan with workers > 1 needs the pool, so `import formred` in a
+    # fresh interpreter leaves multiprocessing and concurrent.futures out
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = """
+import sys
+import formred
+loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import formred
+import formred.cli
 import formred.reduce
 from formred import (BinaryForm, ConvergenceError, UhpPoint, UnimodularMatrix,
                      content, from_upper_roots, height, primitive,
@@ -30,6 +31,8 @@ def test_content_examples():
         math.gcd, [abs(c) for c in TRIANGLE_COEFFS])
     assert content(BinaryForm(TRIANGLE_COEFFS)) == 1
     assert content(BinaryForm((-3, -6))) == 3
+    assert content(BinaryForm((0, -2**70, 3 * 2**70))) == 2**70
+    assert content(BinaryForm((0, 0, -7))) == 7
 
 
 def test_primitive_examples():
@@ -337,7 +340,9 @@ def test_polish_root_matches_reference(rng):
     # from starts near clustered and repeated roots, where three Newton
     # steps may leave z moving, the polish whose steps evaluate only p and
     # p' gives the root and ill flag of the reference, which evaluates the
-    # bound at every step and once more at the end, bit for bit
+    # bound at every step and once more at the end, bit for bit; so does the
+    # polish against the coefficients rounded to doubles, which
+    # _double_roots passes
     rows = [_mignotte(d, a).coeffs for d in range(4, 12)
             for a in (3, 10, 30, 100, 1000)]
     rows += [(1, -7, 18, -20, 8), (1, -4, 6, -4, 1), (1, -10, 40, -80, 80, -32)]
@@ -347,11 +352,13 @@ def test_polish_root_matches_reference(rng):
             for _ in range(20):
                 z = complex(z0) + complex(
                     *rng.normal(0, 10.0 ** rng.uniform(-12, -1), 2))
-                got, want = forms._polish_root(coeffs, z), \
-                    polish_root_reference(coeffs, z)
-                assert (got[0].real.hex(), got[0].imag.hex(), got[1]) == \
-                    (want[0].real.hex(), want[0].imag.hex(), want[1]), (coeffs, z)
-                ill += got[1]
+                want = polish_root_reference(coeffs, z)
+                for given in (coeffs, [float(c) for c in coeffs]):
+                    got = forms._polish_root(given, z)
+                    assert (got[0].real.hex(), got[0].imag.hex(), got[1]) == \
+                        (want[0].real.hex(), want[0].imag.hex(), want[1]), \
+                        (given, z)
+                ill += want[1]
     assert 100 < ill < 5000
 
 
@@ -364,6 +371,20 @@ def test_double_roots_refuse_coefficients_past_the_doubles():
         roots_upper(BinaryForm((1, 0, 2 ** 1024 - 2 ** 970)))
     # a coefficient that rounds to a double is accepted
     assert len(roots_upper(BinaryForm((1, 0, 2 ** 1023))).upper) == 1
+
+
+def test_lapack_nonconvergence_raises_convergence_error(monkeypatch, capsys):
+    # a LAPACK non-convergence gives NaN eigenvalues, not LinAlgError: the
+    # polish keeps the NaN starts and flags them ill, the exact route
+    # refuses them, and the CLI exits 2 as for any ConvergenceError
+    def no_convergence(A, signature):
+        return np.full(len(A), complex(math.nan, math.nan))
+
+    monkeypatch.setattr(forms, "_eigvals", no_convergence)
+    with pytest.raises(ConvergenceError, match="finite"):
+        roots_upper(BinaryForm((1, 0, 1)))
+    assert formred.cli.main(["minimize", "--coeffs", "1,0,1"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_overflowing_polish_hands_the_start_to_the_exact_route():
