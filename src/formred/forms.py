@@ -417,8 +417,10 @@ def _double_roots(coeffs: Sequence[int]):
 
 
 def _separated(discs) -> bool:
-    """Whether the discs about (a + bi) / 2^e of radius r / 2^e, widened by 2
-    for the rounding of r, are disjoint and, unless b = 0, off the real axis."""
+    """Whether the discs about (a + bi) / 2^e of integer radius r / 2^e, each
+    widened by 2 as a margin, are disjoint and, unless b = 0, off the real
+    axis.  Every comparison is on integers, so no radius or distance
+    overflows."""
     for k, (a, b, e, r) in enumerate(discs):
         if b != 0 and abs(b) <= 2 * r:
             return False
@@ -426,7 +428,7 @@ def _separated(discs) -> bool:
             top = max(e, e2)
             da = (a << (top - e)) - (a2 << (top - e2))
             db = (b << (top - e)) - (b2 << (top - e2))
-            reach = 2 * (math.ldexp(r, top - e) + math.ldexp(r2, top - e2))
+            reach = 2 * ((r << (top - e)) + (r2 << (top - e2)))
             if da * da + db * db <= reach * reach:
                 return False
     return True
@@ -459,81 +461,84 @@ def _on_grid(x: float, e: int) -> int:
         return (p << e) // q
 
 
+def _certified_roots(coeffs: Sequence[int]):
+    """Every root of the polynomial with integer coefficients coeffs, c_0 != 0,
+    and whether some is repeated: the double roots when they certify, else
+    those _roots_high_precision certifies from them."""
+    roots, ill = _double_roots(coeffs)
+    return _roots_high_precision(coeffs, roots) if ill else (roots, False)
+
+
 def _roots_high_precision(coeffs: Sequence[int], start: Sequence[complex]):
     """Every root, certified from the double roots `start` by exact steps on
-    Gaussian integers (_gauss_horner).  Pass 1: for each start, at most 8
-    Newton steps P conj(P') / |P'|^2 rounded to its own grid 2^-e, e =
-    max(0, 84 - binary exponent), to P = 0 or a zero step.  Later passes:
-    _sweep on one grid for all roots, 64 bits finer each pass.  A pass
-    certifies when every Henrici disc of radius n |P / P'| (Applied and
-    Computational Complex Analysis I, 1974, 6.4) is below 2^(exponent - 75)
-    and the discs are _separated; a root is its grid point correctly rounded.
-    After pass 1 fails, squarefree runs once: a repeated root's factors are
-    solved one by one, a squarefree polynomial by later passes, which raise
-    ConvergenceError past 64 bits below Mahler's bound or at a non-finite start.
-    Returns the roots and whether that split found a multiplicity above 1.
+    Gaussian integers (_gauss_horner), and whether some is repeated.
+
+    Pass 1: for each start, at most 8 Newton steps P conj(P') / |P'|^2
+    rounded to its own grid 2^-e, e = max(0, 84 - binary exponent), to P = 0
+    or a zero step.  If pass 1 does not certify, squarefree runs once: when
+    it finds a multiplicity above 1, each factor's roots come from
+    _certified_roots, repeated by their multiplicity.  Otherwise the sweep
+    passes follow: _sweep on one grid for all roots, 64 bits finer each
+    pass.  A pass certifies when every Henrici disc of radius n |P / P'|
+    (Applied and Computational Complex Analysis I, 1974, 6.4) is below
+    2^(exponent - 75) and the discs are _separated; the radius is kept as
+    the integer isqrt(n^2 |P|^2 // |P'|^2) + 1 in grid units, above the
+    true one, and a root is its grid point correctly rounded.  Raises
+    ConvergenceError at a start that is not finite or when the sweeps pass
+    a grid 64 bits below Mahler's root separation bound.
     """
-    out, parts, todo = [], None, [(coeffs, start, True, 1)]
-    while todo:
-        coeffs, start, ill, m = todo.pop()
-        if not ill:
-            out += start * m
-            continue
-        if not all(math.isfinite(abs(z)) for z in start):
-            raise ConvergenceError(f"no finite double roots of {coeffs}")
-        n, exps = len(coeffs) - 1, [math.frexp(abs(z))[1] for z in start]
-        top = max(0, 84 - min(exps))  # the grid of the first later pass
-        # Mahler (Michigan Math. J. 11, 1964): roots over 2^(top + 64 - cap) apart
-        cap = top + 64 + n * (n + sum(c * c for c in coeffs).bit_length())
-        for e in [None, *range(top, cap + 1, 64)]:
-            if e is not None:  # later passes: at most 32 sweeps, until none moves
-                w = [(a << 64, b << 64) for a, b in w] if e > top else [
-                    (_on_grid(z.real, e), _on_grid(z.imag, e)) for z in start]
-                all(_sweep(coeffs, w, e) for _ in range(32))
-            discs = []  # (a, b, grid exponent, radius in grid units)
-            for i, (z, x) in enumerate(zip(start, exps)):
-                if e is None:
-                    g = max(0, 84 - x)
-                    a, b = _on_grid(z.real, g), _on_grid(z.imag, g)
-                    for step in range(9):
-                        pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
-                        dd = dr * dr + di * di
-                        if pr == pi == 0 or dd == 0 or step == 8:
-                            break
-                        sr = (2 * (pr * dr + pi * di) + dd) // (2 * dd)
-                        si = (2 * (pi * dr - pr * di) + dd) // (2 * dd)
-                        if sr == si == 0:
-                            break
-                        a, b = a - sr, b - si
-                else:
-                    g, (a, b) = e, w[i]
+    if not all(math.isfinite(abs(z)) for z in start):
+        raise ConvergenceError(f"no finite double roots of {coeffs}")
+    n, exps = len(coeffs) - 1, [math.frexp(abs(z))[1] for z in start]
+    top = max(0, 84 - min(exps))  # the grid of the first sweep pass
+    # Mahler (Michigan Math. J. 11, 1964): roots over 2^(top + 64 - cap) apart
+    cap = top + 64 + n * (n + sum(c * c for c in coeffs).bit_length())
+    for e in [None, *range(top, cap + 1, 64)]:
+        if e is not None:  # sweep passes: at most 32 sweeps, until none moves
+            w = [(a << 64, b << 64) for a, b in w] if e > top else [
+                (_on_grid(z.real, e), _on_grid(z.imag, e)) for z in start]
+            all(_sweep(coeffs, w, e) for _ in range(32))
+        discs = []  # (a, b, grid exponent, radius in grid units)
+        for i, (z, x) in enumerate(zip(start, exps)):
+            if e is None:
+                g = max(0, 84 - x)
+                a, b = _on_grid(z.real, g), _on_grid(z.imag, g)
+                for step in range(9):
                     pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
                     dd = dr * dr + di * di
-                pp = pr * pr + pi * pi
-                # n |P / P'| < 2^(exponent - 75), in pass 1 2^9 grid units
-                if dd == 0 or n * n * pp >= dd << 2 * (g + x - 75):
-                    break
-                discs.append((a, b, g, n * math.sqrt(pp / dd)))
-            if len(discs) == n and _separated(discs):
+                    if pr == pi == 0 or dd == 0 or step == 8:
+                        break
+                    sr = (2 * (pr * dr + pi * di) + dd) // (2 * dd)
+                    si = (2 * (pi * dr - pr * di) + dd) // (2 * dd)
+                    if sr == si == 0:
+                        break
+                    a, b = a - sr, b - si
+            else:
+                g, (a, b) = e, w[i]
+                pr, pi, dr, di = _gauss_horner(coeffs, a, b, g)
+                dd = dr * dr + di * di
+            pp = pr * pr + pi * pi
+            # n |P / P'| < 2^(exponent - 75), in pass 1 2^9 grid units
+            if dd == 0 or n * n * pp >= dd << 2 * (g + x - 75):
                 break
-            if parts is None:
-                parts = squarefree(coeffs)
-                if any(k > 1 for _, k in parts):
-                    todo = [(f, *_double_roots(f), k) for f, k in parts]
-                    discs = []
-                    break
-        else:
-            raise ConvergenceError(f"roots of {coeffs} not certified")
-        out += [complex(a / 2**g, b / 2**g) for a, b, g, _ in discs] * m
-    return out, any(k > 1 for _, k in parts or ())
+            discs.append((a, b, g, math.isqrt(n * n * pp // dd) + 1))
+        if len(discs) == n and _separated(discs):
+            return [complex(a / 2**g, b / 2**g) for a, b, g, _ in discs], False
+        if e is None:
+            parts = squarefree(coeffs)
+            if any(k > 1 for _, k in parts):
+                return [z for f, k in parts
+                        for z in _certified_roots(f)[0] * k], True
+    raise ConvergenceError(f"roots of {coeffs} not certified")
 
 
 def roots_upper(f: BinaryForm) -> UpperRootSet:
     """Roots of f split by half-plane, as root finding proved them.
 
-    Doubles stand when they certify every root; otherwise the one exact
-    route, _roots_high_precision, certifies them all (Newton per root, then
-    the squarefree split or Weierstrass sweeps).  A root is real exactly
+    _certified_roots finds them: doubles stand when they certify every root;
+    otherwise the one exact route, _roots_high_precision, certifies them all
+    (Newton per root, then the squarefree split, whose factors take
+    _certified_roots in turn, or Weierstrass sweeps).  A root is real exactly
     when its imaginary part is 0: LAPACK returns the real eigenvalues of the
     real companion matrix exactly real and the others as exact conjugate
     pairs, _polish_root keeps a real start real, and a certified disc either
@@ -551,10 +556,7 @@ def roots_upper(f: BinaryForm) -> UpperRootSet:
         # f = c * y^n: the only root is at infinity, with multiplicity n.
         return UpperRootSet(upper=(), real=(math.inf,) * f.degree,
                             repeated=f.degree > 1)
-    roots, ill = _double_roots(coeffs)
-    repeated = False
-    if ill:
-        roots, repeated = _roots_high_precision(coeffs, roots)
+    roots, repeated = _certified_roots(coeffs)
     upper = [z for z in roots if z.imag > 0]
     real = [z.real for z in roots if z.imag == 0]
     lower = len(roots) - len(upper) - len(real)

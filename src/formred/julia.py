@@ -232,14 +232,14 @@ def _julia_zero(X: np.ndarray, Y2: np.ndarray, m: np.ndarray, x: float,
     for _ in range(_MAX_STEPS):
         gnorm = _absmax(g)
         step = _newton_step(g, H)
-        y = math.exp(s)
+        y = float(np.exp(s))
         if gnorm < _GRAD_TOL:
             # the test bounds the error only up to the Hessian's
             # conditioning; one more step from here lands at rounding level
             trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
             if _absmax(trial[1]) <= gnorm:
                 x, s = x + y * step[0], s + step[1]
-            return x, math.exp(s)
+            return x, float(np.exp(s))
         for _ in range(_HALVINGS):
             trial = _phi(X, Y2, m, x + y * step[0], s + step[1])
             if trial[0] < phi or (

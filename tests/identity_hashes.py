@@ -18,7 +18,9 @@ report counts shifts of float zeros, but a zero within 1e-9 of a
 half-integer counts as the exact tie, and that band absorbs last-bit changes
 of the solver: the digest has not moved since the batched solver came in,
 through changes that moved zeros in their last bits.  A change that means
-to move a pinned digest re-pins it in the same commit.
+to move a pinned digest re-pins it in the same commit.  The `minimize`
+and `roots` digests are not pinned: the roots start from LAPACK's, and the
+Julia zeros follow numpy's SIMD exp and log, which may differ by platform.
 
 Recipes (all by default):
   compare   110 results: compare_stats for all five ties at r2/k = 3/4, 4/3,
@@ -28,6 +30,10 @@ Recipes (all by default):
   minimize  minimize and reduce_julia of every form of the benchmark's mixed
             population and all 11 628 r2=4 pentagons: repr of (to_json_dict(),
             scale, matrix, zero_used), or of (exception type, message).
+  roots     roots_upper of every form of the benchmark's mixed population,
+            all 11 628 r2=4 pentagons, the 40 Mignotte forms and the
+            clustered septic of tests/test_forms.py: the hex of each root
+            and the repeated flag, or (exception type, message).
   stages    shift_descent at patience 1 to 4 and scale_search at bound 8
             and 64, exact integer functions, on the mixed population and
             every 7th r2=4 pentagon, all raw: repr of to_json_dict().
@@ -88,6 +94,24 @@ def minimize_lines():
                 yield repr((r.to_json_dict(), r.scale, r.matrix, r.zero_used))
             except Exception as exc:
                 yield repr((type(exc).__name__, str(exc)))
+
+
+def roots_lines():
+    forms = mixed_and_pentagons(1)
+    # the 40 Mignotte forms x^d - 2 (a x - y)^2 y^(d-2) and the clustered
+    # septic of tests/test_forms.py, whose roots take the sweeps
+    forms += [fr.BinaryForm((1,) + (0,) * (d - 3) + (-2 * a * a, 4 * a, -2))
+              for d in range(4, 12) for a in (3, 10, 30, 100, 1000)]
+    forms.append(fr.transform(
+        fr.BinaryForm((1, -27, 285, -1399, 2594, 2502, -16020, 12064)),
+        fr.UnimodularMatrix(-2, -3, 5, 7)))
+    for f in forms:
+        try:
+            rs = fr.roots_upper(f)
+            yield repr(([(p.t.hex(), p.u.hex()) for p in rs.upper],
+                        [x.hex() for x in rs.real], rs.repeated))
+        except Exception as exc:
+            yield repr((type(exc).__name__, str(exc)))
 
 
 def stages_lines():
@@ -159,8 +183,8 @@ def julia_lines():
 
 
 RECIPES = {"compare": compare_lines, "minimize": minimize_lines,
-           "stages": stages_lines, "db": db_lines, "cli": cli_lines,
-           "julia": julia_lines}
+           "roots": roots_lines, "stages": stages_lines, "db": db_lines,
+           "cli": cli_lines, "julia": julia_lines}
 
 PINNED = {
     "compare": "16b365b6c5ed39b84d5f6109990c54a0d0f83256d1ac653d1239d0c10a3c40e5",

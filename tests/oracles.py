@@ -625,12 +625,12 @@ def julia_zero_reference(X, Y2, m, x, y):
     for _ in range(_MAX_STEPS):
         gnorm = np.max(np.abs(g))
         step = _newton_step_reference(g, H)
-        y1 = math.exp(s)
+        y1 = np.exp(s)
         if gnorm < _GRAD_TOL:
             trial = _phi_reference(X, Y2, m, x1 + y1 * step[0], s + step[1])
             if np.max(np.abs(trial[1])) <= gnorm:
                 x1, s = x1 + y1 * step[0], s + step[1]
-            return x1, math.exp(s)
+            return x1, np.exp(s)
         for _ in range(_HALVINGS):
             trial = _phi_reference(X, Y2, m, x1 + y1 * step[0], s + step[1])
             if trial[0] < phi or (

@@ -146,6 +146,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert err.startswith("formred: error: ") and err.count("\n") == 1
         assert missing in err
 
+    # roots the exact route cannot certify: one error line, no traceback
+    code, _, err = run(capsys, "minimize", "--coeffs", f"1,{2 ** 154},0,1")
+    assert code == 2 and err.count("\n") == 1 and "not certified" in err
+
     # numeric non-convergence
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("stub")

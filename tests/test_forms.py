@@ -260,6 +260,39 @@ def _mignotte(d, a):
     return BinaryForm(tuple(coeffs))
 
 
+def test_split_factor_takes_the_exact_route(monkeypatch):
+    # the square of a Mignotte form: pass 1 fails, the squarefree split finds
+    # the factor with multiplicity 2, and that factor's doubles are ill in
+    # turn, so its own _roots_high_precision call runs the sweeps
+    f = _mignotte(8, 1000)
+    once = roots_upper(f)
+    depth, calls, sweeps = [0], [], []
+    exact, sweep = forms._roots_high_precision, forms._sweep
+
+    def exact_spy(coeffs, start):
+        calls.append(tuple(coeffs))
+        depth[0] += 1
+        try:
+            return exact(coeffs, start)
+        finally:
+            depth[0] -= 1
+
+    def sweep_spy(coeffs, w, e):
+        sweeps.append((tuple(coeffs), depth[0]))
+        return sweep(coeffs, w, e)
+
+    monkeypatch.setattr(forms, "_roots_high_precision", exact_spy)
+    monkeypatch.setattr(forms, "_sweep", sweep_spy)
+    squared = tuple(poly_mul(f.coeffs, f.coeffs))
+    rs = roots_upper(BinaryForm(squared))
+    assert calls == [squared, f.coeffs]
+    assert sweeps and set(sweeps) == {(f.coeffs, 2)}
+    assert rs.repeated and not once.repeated
+    assert rs.real == tuple(sorted(once.real * 2))
+    assert rs.upper == tuple(sorted(once.upper * 2,
+                                    key=lambda p: (p.t, p.u)))
+
+
 def _mignottes():
     return [_mignotte(d, a) for d in range(4, 12)
             for a in (3, 10, 30, 100, 1000)]

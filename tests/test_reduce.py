@@ -590,12 +590,13 @@ def test_overflowing_julia_forms_get_reports(fn, coeffs):
     assert r.output_height == height(r.output) <= r.input_height == height(f)
 
 
-@pytest.mark.xfail(strict=True, raises=(OverflowError, ConvergenceError),
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
                    reason="root certification cannot yet span roots spread "
-                          "this far apart (CHANGES.md, FOUND)")
+                          "this far apart: the sweeps from the double starts "
+                          "never certify them (ROADMAP item 12)")
 @pytest.mark.parametrize("coeffs", [
     (1, 2 ** 52, 0, 1),  # LAPACK returns 0 twice for the roots +-2^-26 i
-    (1, 2 ** 154, 0, 1),  # a disc radius overflows the doubles
+    (1, 2 ** 154, 0, 1),  # roots near -2^154 and +-2^-77 i
 ], ids=["coincident-starts", "radius"])
 def test_widely_spread_roots_get_reports(coeffs):
     f = BinaryForm(coeffs)
